@@ -16,6 +16,19 @@ member), queries are tokenized and vocabulary-mapped with the OOV-drop
 policy, and fold-in runs on the sparse bucketed lane of
 :class:`repro.serving.FoldInEngine` with alias-table prior draws.
 
+A third bench, the **fold-in lane crossover**, times the two sparse
+fold-in lanes of the python backend head to head at the served topic
+count (T=200, the knowledge-source size the ``perfbench`` serve
+workloads fold against, 30 sweeps): the per-document lane
+(:meth:`FoldInEngine.theta_document`, one document at a time) against
+the document-batched lane
+(:meth:`PythonBackend.foldin_sparse_batch`, one token position across
+the whole batch), for every batch size x document length of the grid.
+Its crossover — the smallest batch at which the batched lane wins at
+the served document length — is what
+:data:`repro.serving.foldin.BATCH_LANE_MIN_DOCS` routes on; the table
+states both.
+
 Shapes asserted: throughput is finite and positive everywhere; batching
 is not a pessimization; a v1-artifact load and a mmap v2 load serve
 **bit-identical theta on a fixed seed regardless of worker count** (the
@@ -26,15 +39,22 @@ to stay within IPC-overhead noise of serial, and records the core
 count so the gate is honest).  Per-worker utilization
 (``busy_seconds / wall`` from the telemetry recorder) is stamped into
 the result so the flat-scaling-on-one-core caveat is machine-visible:
-there, the fractions sum to ~1 at every worker count.
+there, the fractions sum to ~1 at every worker count.  The crossover
+bench asserts that both lanes give the same bits on the documents both
+folded, and that the batched lane wins at 64 documents for every
+document length.
 """
 
 from __future__ import annotations
 
+from time import perf_counter
+
 import numpy as np
 from _shared import record
 
-from repro.serving import available_cpus
+from repro.sampling.rng import document_rng
+from repro.serving import FoldInEngine, available_cpus
+from repro.serving.foldin import BATCH_LANE_MIN_DOCS
 from repro.experiments import (format_parallel_serving,
                                format_serving_throughput,
                                run_parallel_serving,
@@ -43,6 +63,24 @@ from repro.experiments import (format_parallel_serving,
 BATCH_SIZES = (1, 8, 32)
 WORKER_COUNTS = (1, 2, 4)
 FOLDIN_ITERATIONS = 20
+
+#: Lane-crossover grid: batch sizes x document lengths (tokens).
+LANE_BATCH_SIZES = (1, 2, 4, 8, 16, 32, 64, 256)
+LANE_LENGTHS = (20, 100, 1000)
+#: The served model: topic count, vocabulary, fold-in sweeps and alpha
+#: of the perfbench serve workloads.
+SERVED_TOPICS = 200
+SERVED_VOCAB = 3500
+SERVED_ITERATIONS = 30
+SERVED_ALPHA = 0.5
+#: The length the routing constant is read at (serve_batch documents
+#: carry ~90 in-vocabulary tokens).
+SERVED_LENGTH = 100
+#: The per-document lane folds one document at a time, so its rate
+#: does not depend on the batch: it is timed once per length, on this
+#: many documents.
+SCALAR_SAMPLE = 8
+LANE_REPEATS = 3
 
 
 def test_bench_serving(benchmark):
@@ -139,3 +177,122 @@ def test_bench_parallel_serving(benchmark):
         for fraction in row.worker_utilization.values():
             assert 0.0 < fraction < 1.25
         assert 0.0 < row.pool_utilization <= 1.25
+
+
+def _lane_workload(seed: int = 0):
+    """A served-size phi plus query documents drawn from it, each
+    mixing a handful of topics as real queries do."""
+    rng = np.random.default_rng(seed)
+    phi = rng.dirichlet(np.full(SERVED_VOCAB, 0.05), size=SERVED_TOPICS)
+    cumulative = np.cumsum(phi, axis=1)
+
+    def document(length: int) -> np.ndarray:
+        topics = rng.choice(SERVED_TOPICS, size=5, replace=False)
+        mix = rng.dirichlet(np.full(5, 0.5))
+        drawn = topics[rng.choice(5, size=length, p=mix)]
+        words = (cumulative[drawn] < rng.random((length, 1))).sum(axis=1)
+        return np.minimum(words, SERVED_VOCAB - 1).astype(np.int64)
+
+    documents = {length: [document(length)
+                          for _ in range(max(LANE_BATCH_SIZES))]
+                 for length in LANE_LENGTHS}
+    return phi, documents
+
+
+def _best_rate(fold, documents) -> tuple[float, np.ndarray]:
+    """Best-of-``LANE_REPEATS`` docs/sec of one fold, and its rows."""
+    best = np.inf
+    for _ in range(LANE_REPEATS):
+        start = perf_counter()
+        rows = fold(documents)
+        best = min(best, perf_counter() - start)
+    return len(documents) / best, rows
+
+
+def test_bench_foldin_lane_crossover(benchmark):
+    phi, documents = _lane_workload()
+    engine = FoldInEngine(phi, SERVED_ALPHA, iterations=SERVED_ITERATIONS,
+                          mode="sparse", backend="python")
+    root = np.random.SeedSequence(0)
+
+    def scalar(docs):
+        scratch = engine.new_scratch()
+        return np.array([engine.theta_document(doc, document_rng(root, i),
+                                               scratch)
+                         for i, doc in enumerate(docs)])
+
+    def batched(docs):
+        return engine._backend.foldin_sparse_batch(
+            engine._table, docs,
+            [document_rng(root, i) for i in range(len(docs))])
+
+    def run():
+        grid = {}
+        for length in LANE_LENGTHS:
+            docs = documents[length]
+            scalar_rate, scalar_rows = _best_rate(scalar,
+                                                  docs[:SCALAR_SAMPLE])
+            for size in LANE_BATCH_SIZES:
+                batched_rate, batched_rows = _best_rate(batched,
+                                                        docs[:size])
+                shared = min(size, SCALAR_SAMPLE)
+                assert np.array_equal(batched_rows[:shared],
+                                      scalar_rows[:shared])
+                grid[length, size] = (scalar_rate, batched_rate)
+        return grid
+
+    grid = benchmark.pedantic(run, rounds=1, iterations=1)
+    crossover = {
+        length: next((size for size in LANE_BATCH_SIZES
+                      if grid[length, size][1] >= grid[length, size][0]),
+                     None)
+        for length in LANE_LENGTHS}
+    lines = [
+        f"Fold-in lane crossover - python backend, sparse lane, "
+        f"T={SERVED_TOPICS}, V={SERVED_VOCAB}, {SERVED_ITERATIONS} sweeps, "
+        f"best of {LANE_REPEATS}; per-document rate timed once per "
+        f"length on {SCALAR_SAMPLE} docs",
+        "doc tokens | batch | per-doc docs/s | batched docs/s | batched/per-doc",
+        "-----------+-------+----------------+----------------+----------------",
+    ]
+    for (length, size), (scalar_rate, batched_rate) in grid.items():
+        lines.append(f"{length:<10} | {size:<5} | {scalar_rate:<14.4g} | "
+                     f"{batched_rate:<14.4g} | {batched_rate / scalar_rate:.2f}x")
+    lines.append("measured crossover (smallest batch where batched >= "
+                 "per-doc): " + ", ".join(
+                     f"{length} tokens -> {crossover[length]}"
+                     for length in LANE_LENGTHS))
+    lines.append(f"routing constant BATCH_LANE_MIN_DOCS = "
+                 f"{BATCH_LANE_MIN_DOCS} (the crossover at "
+                 f"{SERVED_LENGTH} tokens)")
+    record(
+        "foldin_lane_crossover", "\n".join(lines),
+        metrics={
+            "per_document_docs_per_second": {
+                f"{length}x{size}": rates[0]
+                for (length, size), rates in grid.items()},
+            "batched_docs_per_second": {
+                f"{length}x{size}": rates[1]
+                for (length, size), rates in grid.items()},
+            "crossover_batch": {str(length): crossover[length]
+                                for length in LANE_LENGTHS},
+        },
+        params={
+            "batch_sizes": LANE_BATCH_SIZES,
+            "document_lengths": LANE_LENGTHS,
+            "num_topics": SERVED_TOPICS,
+            "vocab_size": SERVED_VOCAB,
+            "foldin_iterations": SERVED_ITERATIONS,
+            "alpha": SERVED_ALPHA,
+            "scalar_sample": SCALAR_SAMPLE,
+            "repeats": LANE_REPEATS,
+            "routing_constant": BATCH_LANE_MIN_DOCS,
+        },
+        backend="python")
+
+    assert all(np.isfinite(rate) and rate > 0
+               for rates in grid.values() for rate in rates)
+    # Past the crossover the batched lane must actually pay, at every
+    # document length.
+    assert all(grid[length, 64][1] > grid[length, 64][0]
+               for length in LANE_LENGTHS)

@@ -22,12 +22,11 @@ Two backends ship:
 ``"numba"``
     An optional compiled backend (:mod:`repro.sampling.runtime_numba`)
     that auto-registers when :mod:`numba` imports and is silently
-    absent otherwise.  Its LDA/EDA dense lanes and the fold-in exact
-    lane preserve the python backend's summation order and are
+    absent otherwise.  Its LDA/EDA dense lanes and both fold-in lanes
+    preserve the python backend's summation order and are
     draw-identical; lanes whose speedup *is* a reassociation (the
-    Source-LDA lambda refresh, the fold-in sparse bucket sums) are
-    statistically equivalent — the same contract PR 2 established for
-    the sparse engine.
+    Source-LDA lambda refresh) are statistically equivalent — the same
+    contract PR 2 established for the sparse engine.
 
 ``resolve_backend("auto")`` picks the compiled backend when present and
 falls back to python otherwise, so ``backend="auto"`` (the default
@@ -48,6 +47,11 @@ once with size ``n``), so backends can be swapped without shifting a
 shared random stream — the same property the alias-table split trick
 relies on.
 
+The fold-in sparse lane also has a document-batched form on the python
+backend (:meth:`PythonBackend.foldin_sparse_batch`): token position
+``p`` of every document in a micro-batch is sampled in one numpy pass,
+bit-identical row for row to the per-document lane.
+
 The alias/MH training lane (:class:`AliasMHTable`,
 :func:`run_alias_mh_chunk`) is the amortized-O(1) counterpart of the
 sparse bucket walk: stale proposal tables plus Metropolis-Hastings
@@ -60,7 +64,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -461,6 +465,21 @@ class TokenLoopBackend(ABC):
                       rng: np.random.Generator, scratch) -> np.ndarray:
         """Fold one document in on the bucketed prior/document lane."""
 
+    #: Whether :meth:`foldin_sparse_batch` is this backend's faster way
+    #: to fold a micro-batch; engines fold per document otherwise.
+    foldin_batched: ClassVar[bool] = False
+
+    def foldin_sparse_batch(self, table: FoldInTable,
+                            documents: Sequence[np.ndarray],
+                            rngs: Sequence[np.random.Generator]
+                            ) -> np.ndarray:
+        """Fold validated documents in on the bucketed lane, row ``i``
+        bit-identical to :meth:`foldin_sparse` on ``documents[i]`` with
+        ``rngs[i]``."""
+        raise NotImplementedError(
+            f"the {self.name!r} backend has no document-batched fold-in "
+            f"lane")
+
 
 _REGISTRY: dict[str, TokenLoopBackend] = {}
 
@@ -526,6 +545,7 @@ class PythonBackend(TokenLoopBackend):
     """
 
     name = "python"
+    foldin_batched = True
 
     # ------------------------------------------------------------ dense
     def sweep_dense(self, engine) -> None:
@@ -1082,9 +1102,13 @@ class PythonBackend(TokenLoopBackend):
                 word = words[position]
                 phi_row = phi_by_word[word]
                 members = doc_topics.array()
-                r_weights = doc_counts.take(members) \
-                    * phi_row.take(members)
-                r_mass = float(r_weights.sum())
+                # Running (sequential) sum: the bucket mass is the last
+                # prefix sum, so zero-padded rows of the batched lane
+                # and the compiled lane accumulate the same bits.
+                cumulative = np.add.accumulate(
+                    doc_counts.take(members) * phi_row.take(members))
+                r_mass = float(cumulative[-1]) if members.shape[0] \
+                    else 0.0
                 s_mass = prior_mass[word]
                 total = r_mass + s_mass
                 if not (0.0 < total < inf):
@@ -1093,7 +1117,6 @@ class PythonBackend(TokenLoopBackend):
                         f"mass, got total={total!r}")
                 x = uniforms[position] * total
                 if x < r_mass:
-                    cumulative = np.cumsum(r_weights)
                     index = int(cumulative.searchsorted(x, side="right"))
                     if index >= cumulative.shape[0]:
                         index = last_positive_index(cumulative)
@@ -1120,6 +1143,199 @@ class PythonBackend(TokenLoopBackend):
                 samples += 1
         mean_counts = accumulated / max(samples, 1)
         return (mean_counts + alpha) / (length + num_topics * alpha)
+
+    def foldin_sparse_batch(self, table: FoldInTable,
+                            documents: Sequence[np.ndarray],
+                            rngs: Sequence[np.random.Generator]
+                            ) -> np.ndarray:
+        """Fold a micro-batch in on the sparse lane, one token position
+        across every document at a time; returns ``(len(documents),
+        T)`` theta rows.
+
+        Documents are independent given the frozen phi, so position
+        ``p`` of every document still that long is sampled in one numpy
+        pass.  Row ``i`` is bit-identical to :meth:`foldin_sparse` on
+        ``documents[i]`` with ``rngs[i]``, whatever else the batch
+        holds:
+
+        * each document draws ``integers`` and one ``random(Nd)`` per
+          sweep from its own stream, in the scalar lane's order;
+        * rows are ordered longest first, so the rows sampling at
+          position ``p`` are a prefix of the batch;
+        * the swap-remove :class:`TopicSet` becomes member and slot
+          arrays over every row plus a ``(B,)`` size, with the same
+          member order;
+        * member weights ``nd * phi`` are gathered into an ``(M, k)``
+          block padded with a sentinel topic whose count is always
+          zero, so one running sum per row gives every row's bucket
+          mass (``cum[-1]``) without the padding changing a bit;
+        * document-bucket draws take ``(cum <= x).sum(0)``, the
+          right-bisection of :meth:`foldin_sparse`, with the same
+          last-positive clamp; prior-bucket draws go through
+          :func:`~repro.sampling.alias.alias_draw_many`.
+
+        Lazy (sharded) table fields are gathered once per batch into
+        dense batch-local tables over the batch's distinct words, so no
+        per-token shard lookups remain.  Documents must already be
+        validated (int64 ids inside the vocabulary); empty ones get the
+        uniform row and consume no randomness.
+        """
+        num_docs = len(documents)
+        num_topics = table.num_topics
+        alpha = table.alpha
+        iterations = table.iterations
+        theta = np.empty((num_docs, num_topics))
+        lengths = np.fromiter((doc.shape[0] for doc in documents),
+                              dtype=np.int64, count=num_docs)
+        order = np.argsort(-lengths, kind="stable")
+        lengths = lengths[order]
+        theta[order[lengths == 0]] = 1.0 / num_topics
+        num_rows = int(np.count_nonzero(lengths))
+        if not num_rows:
+            return theta
+        order = order[:num_rows]
+        lengths = lengths[:num_rows]
+        longest = int(lengths[0])
+        streams = [rngs[i] for i in order]
+        length_list = lengths.tolist()
+
+        token_words = np.concatenate([documents[i] for i in order])
+        fields = (table.phi_by_word, table.prior_mass, table.alias_accept,
+                  table.alias_topic)
+        if not all(isinstance(field, np.ndarray)
+                   and field.flags.c_contiguous for field in fields):
+            vocabulary, token_words = np.unique(token_words,
+                                                return_inverse=True)
+            fields = tuple(np.ascontiguousarray(field.take(vocabulary,
+                                                           axis=0))
+                           for field in fields)
+        phi, prior_mass, alias_accept, alias_topic = fields
+        phi = phi.reshape(-1)
+        # Validated phi rows are finite and non-negative, so when every
+        # prior mass in the batch is positive and finite no total can
+        # fail the mass check, and the prior-bucket divisor is never
+        # zero; otherwise both are guarded per position.
+        batch_prior = prior_mass.take(token_words)
+        guarded = not (0.0 < batch_prior.min()
+                       and batch_prior.max() < np.inf)
+
+        # Position-major tokens: row p holds position p of every
+        # document, and its first ``active[p]`` entries are live.
+        # Assignments are held as flat cells ``row * width + topic`` of
+        # the ``(B, T + 1)`` counts and slots, whose last column is the
+        # sentinel topic.  Members are topic-major, ``(slot, row)``, so
+        # a position's member block is ``(M, k)`` and the running sums
+        # and bisection counts run down axis 0; their extra last slot
+        # is always the sentinel, so a bisection count of M stays a
+        # valid slot.
+        width = num_topics + 1
+        count_base = np.arange(num_rows) * width
+        words = np.zeros((longest, num_rows), dtype=np.int64)
+        assignments = np.zeros((longest, num_rows), dtype=np.int64)
+        counts = np.zeros((num_rows, width))
+        slots = np.zeros((num_rows, width), dtype=np.int64)
+        members = np.full((width, num_rows), num_topics, dtype=np.int64)
+        sizes = np.zeros(num_rows, dtype=np.int64)
+        start = 0
+        for row, (rng, length) in enumerate(zip(streams, length_list)):
+            words[:length, row] = token_words[start:start + length]
+            start += length
+            initial = rng.integers(0, num_topics, size=length)
+            assignments[:length, row] = initial + count_base[row]
+            row_counts = np.bincount(initial, minlength=num_topics)
+            counts[row, :num_topics] = row_counts
+            nonzero = row_counts.nonzero()[0]
+            members[:nonzero.shape[0], row] = nonzero
+            slots[row, nonzero] = np.arange(nonzero.shape[0])
+            sizes[row] = nonzero.shape[0]
+        phi_cells = words * num_topics
+        active = np.searchsorted(-lengths, -np.arange(longest),
+                                 side="left").tolist()
+        row_ids = np.arange(num_rows)
+        counts_flat = counts.ravel()
+        slots_flat = slots.ravel()
+        uniforms = np.zeros((num_rows, longest))
+        accumulated = np.zeros((num_rows, num_topics))
+        burn_in = min(max(1, iterations // 2), iterations - 1)
+        samples = 0
+        inf = np.inf
+        for iteration in range(iterations):
+            for row, (rng, length) in enumerate(zip(streams,
+                                                    length_list)):
+                rng.random(out=uniforms[row, :length])
+            draws = np.ascontiguousarray(uniforms.T)
+            for position, k in enumerate(active):
+                rows = row_ids[:k]
+                cells = assignments[position, :k]
+                held = counts_flat.take(cells) - 1.0
+                counts_flat.put(cells, held)
+                emptied = (held == 0.0).nonzero()[0]
+                if emptied.shape[0]:
+                    # Swap-remove: the last member fills the hole.
+                    tail = sizes[emptied] - 1
+                    hole = slots_flat.take(cells.take(emptied))
+                    last = members[tail, emptied]
+                    members[hole, emptied] = last
+                    slots[emptied, last] = hole
+                    members[tail, emptied] = num_topics
+                    sizes[emptied] = tail
+                live = sizes[:k]
+                span = max(int(live[live.argmax()]), 1)
+                block = members[:span, :k]
+                base = count_base[:k]
+                weights = counts_flat.take(block + base)
+                # The sentinel's phi cell is the next word's first (or,
+                # clipped, the last) entry: finite, and times a zero
+                # count it adds exactly nothing.
+                weights *= phi.take(block + phi_cells[position, :k],
+                                    mode="clip")
+                cumulative = np.cumsum(weights, axis=0)
+                r_mass = cumulative[-1]
+                word = words[position, :k]
+                s_mass = prior_mass.take(word)
+                total = r_mass + s_mass
+                if guarded:
+                    if not (0.0 < total.min() and total.max() < inf):
+                        bad = total[~((total > 0.0) & (total < inf))][0]
+                        raise ValueError(
+                            f"categorical weights must have positive "
+                            f"finite mass, got total={bad!r}")
+                    # A zero prior mass only pairs with a document-
+                    # bucket draw; keep the discarded prior answer
+                    # finite.
+                    s_mass = np.where(s_mass > 0.0, s_mass, 1.0)
+                x = draws[position, :k] * total
+                in_doc = x < r_mass
+                # Both buckets' answers for every row; ``in_doc`` picks.
+                index = (cumulative <= x).sum(axis=0)
+                past = in_doc & (index >= live)
+                if np.count_nonzero(past):
+                    # u * total rounded up to the bucket mass: land on
+                    # the last positive-weight member.
+                    index[past] = (cumulative[:, past]
+                                   < r_mass[past]).sum(axis=0)
+                prior = alias_draw_many(
+                    alias_accept, alias_topic,
+                    np.maximum(x - r_mass, 0.0) / s_mass,
+                    rows=word, check=False)
+                topics = np.where(in_doc, members[index, rows], prior)
+                cells = topics + base
+                assignments[position, :k] = cells
+                held = counts_flat.take(cells)
+                added = (held == 0.0).nonzero()[0]
+                if added.shape[0]:
+                    size = sizes[added]
+                    members[size, added] = topics[added]
+                    slots_flat.put(cells.take(added), size)
+                    sizes[added] = size + 1
+                counts_flat.put(cells, held + 1.0)
+            if iteration >= burn_in:
+                accumulated += counts[:, :num_topics]
+                samples += 1
+        mean_counts = accumulated / max(samples, 1)
+        theta[order] = (mean_counts + alpha) \
+            / (lengths + num_topics * alpha)[:, np.newaxis]
+        return theta
 
 
 def run_source_bijective_chunk(state, table: SourceBijectiveTable,

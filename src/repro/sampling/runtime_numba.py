@@ -19,9 +19,12 @@ What is compiled — and what the compilation preserves:
   established in PR 2 (the per-token conditional agrees to float
   reassociation).
 * **Fold-in exact lane**: sequential cumsum again — draw-identical.
-* **Fold-in sparse lane**: the document-bucket mass uses a scalar
-  accumulation where the python backend uses (pairwise) ``np.sum`` —
-  distributionally equivalent.
+* **Fold-in sparse lane**: the document-bucket mass is the same running
+  sum the python backend takes (the last entry of its
+  ``np.add.accumulate`` prefix sums), so this lane is
+  **draw-for-draw identical** too.  numba is not installed where this
+  repository's CI runs, so this contract is unverified there (the
+  parity test skips).
 * **Sparse training lanes** (LDA, EDA, the bijective Source-LDA
   ``s+r+q`` bucket walk): the python lanes' list-based membership
   structures (``WordTopicLists``, ``TopicSet``) are mirrored into flat
@@ -320,9 +323,10 @@ def _foldin_sparse_doc(word_ids, phi_by_word, prior_mass, alias_accept,
                        doc_counts, theta_out):
     """Compiled fold-in, sparse lane: prior/document bucket split with
     O(1) alias prior hits.  ``members``/``member_pos`` implement the
-    TopicSet (swap-remove membership) as flat arrays; bucket masses
-    accumulate sequentially, so this lane is distributionally (not
-    draw-for-draw) equivalent to the python backend's pairwise sums.
+    TopicSet (swap-remove membership) as flat arrays; the bucket mass
+    accumulates sequentially in member order, exactly as the python
+    backend's running sum does, so this lane is draw-for-draw identical
+    to it (unverified in CI, where numba is not installed).
     """
     length = word_ids.shape[0]
     num_topics = doc_counts.shape[0]
@@ -955,6 +959,9 @@ class NumbaBackend(PythonBackend):
     docstring for the lane-by-lane equivalence contract)."""
 
     name = "numba"
+    # The compiled per-document sparse lane, not the inherited numpy
+    # document-batched one, folds micro-batches here.
+    foldin_batched = False
 
     def sweep_sparse(self, engine) -> None:
         path = engine._path

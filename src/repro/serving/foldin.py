@@ -62,7 +62,25 @@ Two sampling lanes:
     (:mod:`repro.sampling.alias`), precomputed once per engine;
     previously each hit paid a binary search over a per-word cumulative
     sum.  Statistically equivalent to the exact lane (same conditional
-    distribution), not draw-for-draw identical.
+    distribution), not draw-for-draw identical.  The document-bucket
+    mass is a running (sequential) sum, the last entry of the same
+    prefix sums the draw bisects.
+
+Documents on their own streams (:meth:`FoldInEngine.theta_documents`,
+what :mod:`repro.serving.parallel` calls for every task and every
+multi-document inline call) can also take a **document-batched** sparse
+lane: :meth:`~repro.sampling.runtime.PythonBackend.foldin_sparse_batch`
+samples token position ``p`` of every document in a micro-batch in one
+numpy pass, each document still drawing from its own stream in the
+per-document lane's order, so every row is bit-identical to folding
+that document alone.  Routing is by group size only: documents are
+grouped at most :attr:`FoldInEngine.batch_size` at a time (so the
+lane's scratch stays ``batch_size x T`` floats), a group of at least
+:data:`BATCH_LANE_MIN_DOCS` documents goes to the batched lane when the
+backend has one, and smaller groups — a lone document in particular —
+stay on the per-document lane.  The constant is the measured crossover
+of the two lanes (``benchmarks/test_bench_serving.py``).  The exact
+lane and the shared-stream :meth:`FoldInEngine.theta` never batch.
 
 Sharded phi (schema-v3 artifacts): when ``phi`` is the lazy
 ``(T, V)`` face of a :class:`~repro.serving.sharding.ShardedPhi`, the
@@ -98,6 +116,14 @@ from repro.telemetry import NULL_RECORDER, Recorder, ensure_recorder
 
 #: Fold-in sampling lanes.
 MODES = ("exact", "sparse")
+
+#: Smallest group :meth:`FoldInEngine.theta_documents` sends to the
+#: backend's document-batched sparse lane; smaller groups take the
+#: per-document lane.  The measured crossover of the two lanes'
+#: docs/sec at T=200 (``benchmarks/results/foldin_lane_crossover.txt``:
+#: batched/per-document is ~0.7x at 8 documents and ~1.25x at 16, for
+#: 20-, 100- and 1000-token documents alike).
+BATCH_LANE_MIN_DOCS = 16
 
 #: Row sums within this tolerance of 1 are accepted as exact.
 PHI_SUM_ATOL = 1e-6
@@ -254,21 +280,22 @@ class _ShardedRows:
                 f"sharded fold-in tables gather along the word axis "
                 f"(axis=0), got axis={axis}")
         ids = np.asarray(word_ids, dtype=np.int64)
+        # Prior masses are one float per word; alias rows span the
+        # topics (accept floats, alias topic ids).  Known up front, so
+        # an empty gather maps and builds nothing.
+        if self._column == 0:
+            out = np.empty(ids.shape)
+        else:
+            out = np.empty(ids.shape + (self._tables.sharded.shape[1],),
+                           dtype=np.float64 if self._column == 1
+                           else np.int64)
         shard_ids = self._tables.sharded.shard_of(ids)
-        out: np.ndarray | None = None
         for shard in np.unique(shard_ids):
             shard = int(shard)
             table = self._tables.shard(shard)[self._column]
-            if out is None:
-                out = np.empty(ids.shape + table.shape[1:],
-                               dtype=table.dtype)
             start = self._tables.sharded.shard_ranges[shard][0]
             sel = np.flatnonzero(shard_ids == shard)
             out[sel] = table[ids[sel] - start]
-        if out is None:
-            probe = self._tables.shard(0)[self._column]
-            out = np.empty(ids.shape + probe.shape[1:],
-                           dtype=probe.dtype)
         return out
 
 
@@ -560,21 +587,8 @@ class FoldInEngine:
             occupied = [doc for doc in batch if doc.shape[0]]
             if occupied:
                 shards = self.touch(np.concatenate(occupied))
-        if self.mode == "exact":
-            # Only the exact lane gathers (Nd, T) probability
-            # blocks; sizing the buffer in sparse mode would pin
-            # longest-doc * T floats nothing reads.
-            longest = max((doc.shape[0] for doc in batch), default=0)
-            scratch.ensure_gather(longest)
         for offset, doc in enumerate(batch):
-            if doc.shape[0] == 0:
-                out[start + offset] = 1.0 / self.num_topics
-            elif self.mode == "exact":
-                out[start + offset] = \
-                    self._theta_exact(doc, rng, scratch)
-            else:
-                out[start + offset] = \
-                    self._theta_sparse(doc, rng, scratch)
+            out[start + offset] = self._fold_one(doc, rng, scratch)
         return shards
 
     def theta_document(self, word_ids: np.ndarray,
@@ -590,37 +604,65 @@ class FoldInEngine:
         """
         rng = ensure_rng(rng)
         (word_ids,) = self.check_documents([word_ids])
-        if word_ids.shape[0] == 0:
-            return np.full(self.num_topics, 1.0 / self.num_topics)
         if scratch is None:
             scratch = self.new_scratch()
+        return self._fold_one(word_ids, rng, scratch)
+
+    def theta_documents(self, documents: Sequence[np.ndarray],
+                        rngs: Sequence[np.random.Generator],
+                        scratch: FoldInScratch | None = None
+                        ) -> np.ndarray:
+        """Fold in documents already passed through
+        :meth:`check_documents`, document ``i`` on its own stream
+        ``rngs[i]``; returns ``(len(documents), T)`` theta rows.
+
+        Row ``i`` is bit-identical to ``theta_document(documents[i],
+        rngs[i])``.  Documents are folded in groups of at most
+        :attr:`batch_size`; on the sparse lane, a group of at least
+        :data:`BATCH_LANE_MIN_DOCS` documents goes to the backend's
+        document-batched lane when it has one, anything smaller to the
+        per-document lane.
+        """
+        count = len(documents)
+        theta = np.empty((count, self.num_topics))
+        batched = self.mode == "sparse" and self._backend.foldin_batched
+        # Even groups: 70 documents at batch_size 64 fold as 35 + 35,
+        # not as 64 + a 6-document tail below the crossover.
+        groups = max(1, -(-count // self.batch_size))
+        size = max(1, -(-count // groups))
+        for start in range(0, count, size):
+            stop = start + size
+            group = documents[start:stop]
+            if batched and len(group) >= BATCH_LANE_MIN_DOCS:
+                theta[start:stop] = self._backend.foldin_sparse_batch(
+                    self._table, group, rngs[start:stop])
+                continue
+            if scratch is None:
+                scratch = self.new_scratch()
+            for offset, doc in enumerate(group):
+                theta[start + offset] = self._fold_one(
+                    doc, rngs[start + offset], scratch)
+        return theta
+
+    # ------------------------------------------------------------------
+    def _fold_one(self, word_ids: np.ndarray, rng: np.random.Generator,
+                  scratch: FoldInScratch) -> np.ndarray:
+        """One validated document on the engine's per-document lane,
+        executed by the runtime backend.
+
+        The exact lane matches the original ``heldout_gibbs_theta``
+        loop bit-for-bit on the python backend (and the numba
+        backend's sequential cumsum preserves that — see
+        :mod:`repro.sampling.runtime_numba`); see
+        :meth:`repro.sampling.runtime.PythonBackend.foldin_sparse` for
+        the sparse lane's prior/document bucket split.  Empty documents
+        get the uniform row without consuming randomness.
+        """
+        if word_ids.shape[0] == 0:
+            return np.full(self.num_topics, 1.0 / self.num_topics)
         if self.mode == "exact":
             scratch.ensure_gather(word_ids.shape[0])
-            return self._theta_exact(word_ids, rng, scratch)
-        return self._theta_sparse(word_ids, rng, scratch)
-
-    # ------------------------------------------------------------------
-    def _theta_exact(self, word_ids: np.ndarray,
-                     rng: np.random.Generator,
-                     scratch: FoldInScratch) -> np.ndarray:
-        """The legacy dense sampler, executed by the runtime backend.
-
-        On the python backend, arithmetic, draw order and RNG
-        consumption match the original ``heldout_gibbs_theta`` loop
-        bit-for-bit (and the numba backend's sequential cumsum
-        preserves that — see :mod:`repro.sampling.runtime_numba`).
-        """
-        return self._backend.foldin_exact(self._table, word_ids, rng,
-                                          scratch)
-
-    # ------------------------------------------------------------------
-    def _theta_sparse(self, word_ids: np.ndarray,
-                      rng: np.random.Generator,
-                      scratch: FoldInScratch) -> np.ndarray:
-        """Bucketed draws (static per-word prior mass + O(nnz) document
-        bucket, O(1) alias-table prior hits), executed by the runtime
-        backend; see
-        :meth:`repro.sampling.runtime.PythonBackend.foldin_sparse` for
-        the decomposition."""
+            return self._backend.foldin_exact(self._table, word_ids, rng,
+                                              scratch)
         return self._backend.foldin_sparse(self._table, word_ids, rng,
                                            scratch)

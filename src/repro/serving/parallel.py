@@ -319,14 +319,12 @@ def _fold_shard(documents: list[np.ndarray], indices: list[int],
     start = perf_counter()
     if _WORKER_FAULT_SLEEP and documents:
         sleep(_WORKER_FAULT_SLEEP)
-    rows = np.empty((len(documents), _WORKER_ENGINE.num_topics))
-    tokens = 0
-    for row, (doc, index) in enumerate(zip(documents, indices)):
-        rows[row] = _WORKER_ENGINE.theta_document(
-            doc, document_rng(call_seed, index), _WORKER_SCRATCH)
-        tokens += doc.shape[0]
+    rows = _WORKER_ENGINE.theta_documents(
+        documents, [document_rng(call_seed, index) for index in indices],
+        _WORKER_SCRATCH)
     stats = {"worker": os.getpid(), "docs": len(documents),
-             "tokens": tokens, "busy_seconds": perf_counter() - start}
+             "tokens": sum(doc.shape[0] for doc in documents),
+             "busy_seconds": perf_counter() - start}
     return rows, stats
 
 
@@ -629,28 +627,20 @@ class ParallelFoldIn:
         if not pending:
             return theta
         if self.max_workers == 1 or len(pending) == 1:
-            scratch = self._inline_scratch()
             recorder = self.recorder
             if recorder is NULL_RECORDER:
-                for index in pending:
-                    theta[index] = self.engine.theta_document(
-                        documents[index],
-                        document_rng(call_seed, index), scratch)
+                self._fold_inline(documents, theta, pending, call_seed)
                 return theta
             # Inline execution is one task run by this process: time it
             # with the recorder's clock (injectable for deterministic
             # tests) and merge it exactly like a worker's stats dict.
             clock = getattr(recorder, "clock", perf_counter)
             start_time = clock()
-            tokens = 0
-            for index in pending:
-                theta[index] = self.engine.theta_document(
-                    documents[index], document_rng(call_seed, index),
-                    scratch)
-                tokens += documents[index].shape[0]
-            self._record_task({"worker": os.getpid(),
-                               "docs": len(pending), "tokens": tokens,
-                               "busy_seconds": clock() - start_time})
+            self._fold_inline(documents, theta, pending, call_seed)
+            self._record_task({
+                "worker": os.getpid(), "docs": len(pending),
+                "tokens": sum(documents[i].shape[0] for i in pending),
+                "busy_seconds": clock() - start_time})
             return theta
         sharded = self.engine.sharded
         if sharded is not None and sharded.num_shards > 1:
@@ -677,6 +667,28 @@ class ParallelFoldIn:
             order = np.argsort(dominant, kind="stable")
             pending = [pending[position] for position in order]
         return self._dispatch(documents, theta, pending, call_seed)
+
+    def _fold_inline(self, documents: Sequence[np.ndarray],
+                     theta: np.ndarray, pending: list[int],
+                     call_seed: np.random.SeedSequence) -> None:
+        """Fold the pending documents in this thread.
+
+        A lone document takes :meth:`FoldInEngine.theta_document`, so a
+        single-document request traces as one per-document fold; more
+        go through :meth:`FoldInEngine.theta_documents`, which hands
+        large enough groups to the document-batched lane.  Both sample
+        each document on its index-keyed stream, so the rows are the
+        same bits a worker would return.
+        """
+        scratch = self._inline_scratch()
+        if len(pending) == 1:
+            index, = pending
+            theta[index] = self.engine.theta_document(
+                documents[index], document_rng(call_seed, index), scratch)
+            return
+        theta[pending] = self.engine.theta_documents(
+            [documents[i] for i in pending],
+            [document_rng(call_seed, i) for i in pending], scratch)
 
     def _dispatch(self, documents: Sequence[np.ndarray],
                   theta: np.ndarray, pending: list[int],

@@ -389,7 +389,11 @@ class TestElasticHedgedServing:
         wasted work is priced on the hedge counters."""
         from repro.telemetry import InMemoryRecorder
 
-        expected = self._reference(frozen_phi, query_docs, seed=13)
+        # Enough one-document tasks that the straggler is sure to pull
+        # one: with a handful, the fast workers can drain the queue
+        # before the straggler is scheduled at all, and nothing stalls.
+        documents = query_docs * 4
+        expected = self._reference(frozen_phi, documents, seed=13)
         recorder = InMemoryRecorder()
         engine = FoldInEngine(frozen_phi, 0.4, iterations=5,
                               mode="sparse")
@@ -400,7 +404,7 @@ class TestElasticHedgedServing:
                 fault=WorkerFault(sleep_seconds=0.08, rank=0),
                 recorder=recorder) as foldin:
             foldin.warm_up()
-            theta = foldin.theta(query_docs, seed=13)
+            theta = foldin.theta(documents, seed=13)
         assert np.array_equal(theta, expected), workers
         issued = recorder.counter_total("serving.hedge.issued")
         won = recorder.counter_total("serving.hedge.won")
@@ -409,9 +413,9 @@ class TestElasticHedgedServing:
         # Losers never reach the merge: the shared fold-in totals still
         # count every document exactly once.
         assert recorder.counter_value("serving.foldin.documents") \
-            == sum(1 for d in query_docs if len(d))
+            == sum(1 for d in documents if len(d))
         assert recorder.counter_value("serving.foldin.tokens") \
-            == sum(len(d) for d in query_docs)
+            == sum(len(d) for d in documents)
 
     def test_hedging_off_with_straggler_stays_identical(self,
                                                         frozen_phi,
