@@ -7,12 +7,12 @@ Source-LDA model — at several batch sizes (single-worker, the query-time
 counterpart of the training-engine bench in
 ``test_bench_sweep_speed.py``) and at several **worker counts** through
 the worker-sharded :mod:`repro.serving.parallel` layer, serving a
-memory-mapped schema-v2 artifact.
+memory-mapped one-shard schema-v3 artifact (``mmap_phi=True``).
 
 The workloads exercise every stage of the serving subsystem: the fitted
 model round-trips through ``save_model``/``load_model`` (compressed
-``.npz`` + schema-versioned manifest, plus the v2 uncompressed phi
-member), queries are tokenized and vocabulary-mapped with the OOV-drop
+``.npz`` + schema-versioned manifest, plus the one uncompressed phi
+shard member), queries are tokenized and vocabulary-mapped with the OOV-drop
 policy, and fold-in runs on the sparse bucketed lane of
 :class:`repro.serving.FoldInEngine` with alias-table prior draws.
 
@@ -30,9 +30,9 @@ the served document length — is what
 states both.
 
 Shapes asserted: throughput is finite and positive everywhere; batching
-is not a pessimization; a v1-artifact load and a mmap v2 load serve
-**bit-identical theta on a fixed seed regardless of worker count** (the
-tentpole determinism contract); and on multi-core machines workers=4
+is not a pessimization; a v1-artifact load and a mmap one-shard v3
+load serve **bit-identical theta on a fixed seed regardless of worker
+count** (the determinism contract); and on multi-core machines workers=4
 beats workers=1 (on a single-core machine real parallel speedup is
 physically impossible — the bench then only requires the sharded path
 to stay within IPC-overhead noise of serial, and records the core
@@ -154,8 +154,8 @@ def test_bench_parallel_serving(benchmark):
                   for row in result.rows}
     assert all(np.isfinite(rate) and rate > 0
                for rate in by_workers.values())
-    # The tentpole contract: v1 and mmap-v2 artifacts serve the same
-    # bits on a fixed seed at every worker count.
+    # The determinism contract: v1 and one-shard v3 artifacts serve the
+    # same bits on a fixed seed at every worker count.
     assert result.deterministic
     assert result.phi_mmapped
     if available_cpus() >= 2:

@@ -75,8 +75,8 @@ def test_bench_sharded_serving(benchmark):
     # A single shard maps everything it serves — sanity-pin the
     # accounting itself (the whole matrix, nothing double-counted).
     assert by_target[1].quartile_mapped_fraction == 1.0
-    # The single-shard fast path serves off its one block exactly like
-    # an unsharded v2 matrix; the lazy view must not tax throughput
-    # beyond shared-CI timing noise.
+    # The single-shard fast path (the mmap_phi=True layout) serves off
+    # its one block exactly like an unsharded matrix; the lazy view must
+    # not tax throughput beyond shared-CI timing noise.
     assert (by_target[1].docs_per_second
             >= result.baseline_docs_per_second * 0.85)

@@ -1,8 +1,8 @@
 """Serve a trained model: fit -> save -> load -> batched inference.
 
 Fits Source-LDA on a tiny corpus, publishes the fitted model into a
-versioned registry as a schema-v2 artifact (uncompressed, mappable
-phi), reloads it memory-mapped in a "serving process", and answers
+versioned registry as a one-shard schema-v3 artifact (uncompressed,
+mappable phi), reloads it memory-mapped in a "serving process", and answers
 batched topic queries for raw, unseen text — including out-of-vocabulary
 words, which the session drops and reports.  The worker-sharded session
 (`num_workers`) answers bit-identically at every worker count, so the
@@ -51,7 +51,7 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as root:
         # Training process: publish the fitted model.  mmap_phi writes
-        # the schema-v2 artifact whose phi serving workers can share.
+        # phi as one uncompressed shard that serving workers can share.
         registry = ModelRegistry(root)
         record = registry.publish("everyday-topics", fitted,
                                   model_class="SourceLDA",

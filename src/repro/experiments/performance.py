@@ -681,7 +681,7 @@ class ParallelServing:
     rows: list[ParallelServingRow]
     deterministic: bool
     """Same seed ⇒ bit-identical theta across every worker count AND
-    across a v1 (in-memory) vs v2 (mmap) artifact load."""
+    across a v1 (in-memory) vs one-shard v3 (mmap) artifact load."""
     phi_mmapped: bool
     num_cores: int
     num_topics: int
@@ -706,11 +706,12 @@ def run_parallel_serving(num_source_topics: int = 40,
     the determinism contract of :mod:`repro.serving.parallel`.
 
     The model is persisted twice — a v1 artifact (phi inside the
-    compressed npz) and a schema-v2 artifact whose uncompressed phi
-    member is memory-mapped — and both must serve bit-identical theta
-    on a fixed seed at *every* worker count (per-document RNG streams
-    make shard boundaries invisible).  Throughput rows time the v2/mmap
-    path end to end, worker pool spin-up excluded (a warm-up batch
+    compressed npz) and a one-shard schema-v3 artifact
+    (``mmap_phi=True``) whose uncompressed phi member is memory-mapped
+    — and both must serve bit-identical theta on a fixed seed at
+    *every* worker count (per-document RNG streams make shard
+    boundaries invisible).  Throughput rows time the mmap path end to
+    end, worker pool spin-up excluded (a warm-up batch
     spawns it, as a long-lived server would), and carry each worker's
     ``busy_seconds / wall`` utilization from the telemetry recorder —
     on a one-core host the fractions sum to ~1 however many workers
@@ -732,13 +733,13 @@ def run_parallel_serving(num_source_topics: int = 40,
     reference_theta = None
     with tempfile.TemporaryDirectory() as tmp:
         save_model(fitted, f"{tmp}/v1", model_class="BijectiveSourceLDA")
-        save_model(fitted, f"{tmp}/v2", model_class="BijectiveSourceLDA",
+        save_model(fitted, f"{tmp}/v3", model_class="BijectiveSourceLDA",
                    mmap_phi=True)
         loaded_v1 = load_model(f"{tmp}/v1")
-        loaded_v2 = load_model(f"{tmp}/v2", mmap_phi=True)
+        loaded_v3 = load_model(f"{tmp}/v3", mmap_phi=True)
         for workers in worker_counts:
             recorder = InMemoryRecorder()
-            with InferenceSession(loaded_v2,
+            with InferenceSession(loaded_v3,
                                   iterations=foldin_iterations,
                                   mode=mode, seed=seed,
                                   num_workers=workers,
@@ -762,7 +763,7 @@ def run_parallel_serving(num_source_topics: int = 40,
                 / (elapsed * workers)))
             # Determinism probe at this worker count: fixed seed 123,
             # both artifact flavors.
-            for loaded in (loaded_v1, loaded_v2):
+            for loaded in (loaded_v1, loaded_v3):
                 with InferenceSession(loaded,
                                       iterations=foldin_iterations,
                                       mode=mode, seed=123,
@@ -772,7 +773,8 @@ def run_parallel_serving(num_source_topics: int = 40,
                     reference_theta = theta
                 elif not np.array_equal(reference_theta, theta):
                     deterministic = False
-        phi_mmapped = loaded_v2.phi_mmapped
+        phi_mmapped = loaded_v3.phi_mmapped
+        loaded_v3.close()
     return ParallelServing(rows=rows, deterministic=deterministic,
                            phi_mmapped=phi_mmapped,
                            num_cores=available_cpus(),
@@ -1182,9 +1184,9 @@ def format_parallel_serving(result: ParallelServing) -> str:
                f"{result.foldin_iterations} fold-in sweeps, "
                f"mode={result.mode}, {result.num_cores} core(s)"))
     return (f"{table}\n"
-            f"theta bit-identical across workers and v1-vs-mmap-v2: "
+            f"theta bit-identical across workers and v1-vs-one-shard-v3: "
             f"{result.deterministic}\n"
-            f"v2 phi served from mmap: {result.phi_mmapped}")
+            f"one-shard v3 phi served from mmap: {result.phi_mmapped}")
 
 
 def format_serving_throughput(result: ServingThroughput) -> str:

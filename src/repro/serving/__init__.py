@@ -8,7 +8,8 @@ compressed arrays plus a JSON manifest, and :class:`ModelRegistry`
 resolves named, versioned artifacts with an LRU cache of loaded models.
 ``save_model(shard_words=N)`` writes the phi matrix column-sharded
 (schema v3) so loads serve out-of-core through a lazy
-:class:`ShardedPhi` view that maps only the shards a batch touches.
+:class:`ShardedPhi` view that maps only the shards a batch touches;
+``save_model(mmap_phi=True)`` writes it as one mappable shard.
 
 **Inference** — :class:`InferenceSession` answers theta / top-topics /
 label queries for batches of unseen raw-text documents, tokenizing and

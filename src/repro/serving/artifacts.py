@@ -12,37 +12,40 @@ An *artifact* is one directory holding everything needed to reload a
     Compressed, lossless NumPy arrays: ``phi``, ``theta``, the flattened
     per-token assignments plus document lengths, the log-likelihood
     trace, and every array-valued metadata entry.
-``phi_word_major.npy`` (schema v2, optional)
-    ``save_model(..., mmap_phi=True)`` externalizes ``phi`` out of the
-    compressed archive into an **uncompressed** ``.npy`` holding its
-    word-major ``(V, T)`` transpose.  Zip members can never be
-    memory-mapped, but a bare ``.npy`` can: serving workers
-    ``np.load(..., mmap_mode="r")`` it and the OS page cache keeps one
-    physical copy of a large model for the whole worker fleet.  The
-    word-major layout is exactly what the fold-in engine gathers from,
-    so serving from the map is copy-free; ``.T`` restores the canonical
-    ``(T, V)`` phi as a zero-copy view, bit-identical to what was saved.
 ``phi_shard_<k>.npy`` (schema v3, optional)
-    ``save_model(..., shard_words=N)`` splits the same word-major
-    matrix along the **vocabulary axis** into contiguous blocks of
-    ``N`` words each.  The manifest's ``phi_storage`` carries the shard
-    map — per-shard word ranges, total probability masses and SHA-256
-    checksums — and :func:`load_model` returns a lazy
+    ``save_model(..., shard_words=N)`` externalizes ``phi`` out of the
+    compressed archive as its word-major ``(V, T)`` transpose, split
+    along the **vocabulary axis** into **uncompressed** ``.npy`` blocks
+    of ``N`` contiguous words each.  Zip members can never be
+    memory-mapped, but a bare ``.npy`` can.  The manifest's
+    ``phi_storage`` carries the shard map — per-shard word ranges,
+    total probability masses and SHA-256 checksums — and
+    :func:`load_model` returns a lazy
     :class:`~repro.serving.sharding.ShardedPhi` view that maps shards
     read-only on first touch, so a query batch's phi footprint is the
     shards its words live in, not the whole matrix (out-of-core
-    serving; models bigger than RAM load fine).
+    serving; models bigger than RAM load fine), and the OS page cache
+    keeps one physical copy for every serving process.
+    ``save_model(..., mmap_phi=True)`` writes the one-shard layout
+    (``shard_words = V``): a single ``phi_shard_0.npy`` holding the
+    whole word-major matrix.
+``phi_word_major.npy`` (schema v2, read only)
+    The legacy mappable layout: one uncompressed word-major member,
+    byte-for-byte the block a one-shard v3 artifact stores.  Nothing
+    writes it any more; :func:`load_model` reads it as a one-shard
+    :class:`~repro.serving.sharding.ShardedPhi`, so every mapped phi
+    has one owner and one ``close()``.
 
 The manifest is the compatibility surface: :func:`load_model` refuses
 artifacts whose ``schema_version`` is newer than this build understands
 (and anything that is not an artifact at all), so stale servers fail
 loudly instead of misreading future layouts.  Writers record the
 *minimum* version their layout needs — v1 when everything lives in the
-``.npz`` (readable by every release of this library), v2 when phi is
-externalized whole, v3 when it is sharded — and this build reads all
-three.  All six model classes (LDA, EDA, CTM and the Source-LDA family)
-round-trip through the same two functions — the model class is recorded
-as a name, not pickled, so artifacts stay portable and auditable.
+``.npz`` (readable by every release of this library), v3 when phi is
+externalized as shards — and this build reads v1, v2 and v3.  All six
+model classes (LDA, EDA, CTM and the Source-LDA family) round-trip
+through the same two functions — the model class is recorded as a
+name, not pickled, so artifacts stay portable and auditable.
 """
 
 from __future__ import annotations
@@ -62,19 +65,20 @@ from repro.text.vocabulary import Vocabulary
 
 #: Newest artifact schema version this build reads; bump on layout
 #: changes.  Writers stamp the minimum version their layout needs
-#: (1 = everything in the npz, 2 = phi externalized for mmap,
-#: 3 = phi column-sharded along the vocabulary axis).
+#: (1 = everything in the npz, 3 = phi column-sharded along the
+#: vocabulary axis); 2 (phi externalized whole) is read, never written.
 SCHEMA_VERSION = 3
 #: Format tag distinguishing artifacts from arbitrary JSON + NPZ pairs.
 ARTIFACT_FORMAT = "repro.serving/model-artifact"
 
 MANIFEST_FILENAME = "manifest.json"
 ARRAYS_FILENAME = "arrays.npz"
-#: The v2 uncompressed phi member — ``phi.T`` as a contiguous ``(V, T)``
-#: array, written by ``save_model(..., mmap_phi=True)``.
+#: The legacy v2 uncompressed phi member — ``phi.T`` as a contiguous
+#: ``(V, T)`` array.  Read as a one-shard view; removed on overwrite.
 PHI_MEMBER_FILENAME = "phi_word_major.npy"
 #: The v3 shard members — contiguous word-major vocabulary ranges,
-#: written by ``save_model(..., shard_words=N)``.
+#: written by ``save_model(..., shard_words=N)`` (or ``mmap_phi=True``:
+#: one shard).
 PHI_SHARD_TEMPLATE = "phi_shard_{index}.npy"
 #: Glob matching every possible phi shard member, for stale cleanup on
 #: overwrite.
@@ -200,11 +204,11 @@ def save_model(model: FittedTopicModel, path: str | Path,
     overwrite:
         Refuse to clobber an existing artifact unless set.
     mmap_phi:
-        Externalize ``phi`` as the uncompressed word-major
-        ``phi_word_major.npy`` member (schema v2) so serving workers
-        can memory-map one shared copy; everything else stays in the
-        compressed ``.npz``.  Costs disk (phi no longer compresses)
-        and buys zero-copy multi-process loading.
+        Externalize ``phi`` as one uncompressed word-major shard
+        member, the ``shard_words = V`` layout (schema v3), so serving
+        workers can memory-map one shared copy; everything else stays
+        in the compressed ``.npz``.  Costs disk (phi no longer
+        compresses) and buys zero-copy multi-process loading.
     shard_words:
         Shard the word-major phi into contiguous ``phi_shard_<k>.npy``
         members of ``shard_words`` vocabulary words each (schema v3;
@@ -224,14 +228,12 @@ def save_model(model: FittedTopicModel, path: str | Path,
         raise ArtifactError(
             f"artifact already exists at {path}; pass overwrite=True to "
             f"replace it")
-    if shard_words is not None:
-        if shard_words < 1:
-            raise ArtifactError(
-                f"shard_words must be >= 1, got {shard_words}")
-        # Sharded members are bare .npy files — mappable by
-        # construction — so the v2 whole-matrix member would be
-        # redundant; the shard layout wins.
-        mmap_phi = False
+    if shard_words is None and mmap_phi:
+        # The mappable layout is the one-shard layout.
+        shard_words = model.vocab_size
+    if shard_words is not None and shard_words < 1:
+        raise ArtifactError(
+            f"shard_words must be >= 1, got {shard_words}")
     path.mkdir(parents=True, exist_ok=True)
 
     arrays: dict[str, np.ndarray] = {}
@@ -244,8 +246,7 @@ def save_model(model: FittedTopicModel, path: str | Path,
         "format": ARTIFACT_FORMAT,
         # The minimum version that can describe this layout, so v1-only
         # readers keep loading artifacts that never asked for mmap.
-        "schema_version": (3 if shard_words is not None
-                           else 2 if mmap_phi else 1),
+        "schema_version": 3 if shard_words is not None else 1,
         "model_class": model_class,
         "num_topics": model.num_topics,
         "num_documents": model.num_documents,
@@ -259,13 +260,10 @@ def save_model(model: FittedTopicModel, path: str | Path,
         "metadata": metadata_tree,
     }
     sharded = shard_words is not None
-    externalize = mmap_phi or sharded
-    word_major: np.ndarray | None = None
-    if externalize:
-        word_major = np.ascontiguousarray(
-            np.asarray(model.phi, dtype=np.float64).T)
     shard_entries: list[dict[str, Any]] = []
     if sharded:
+        word_major = np.ascontiguousarray(
+            np.asarray(model.phi, dtype=np.float64).T)
         starts = plan_shard_starts(model.vocab_size, shard_words)
         stops = starts[1:] + (model.vocab_size,)
         for index, (start, stop) in enumerate(zip(starts, stops)):
@@ -280,9 +278,6 @@ def save_model(model: FittedTopicModel, path: str | Path,
         manifest["phi_storage"] = {"layout": "word_major_sharded",
                                    "shard_words": int(shard_words),
                                    "shards": shard_entries}
-    elif mmap_phi:
-        manifest["phi_storage"] = {"member": PHI_MEMBER_FILENAME,
-                                   "layout": "word_major"}
     if len(vocabulary) != model.vocab_size:
         raise ArtifactError(
             f"vocabulary has {len(vocabulary)} words but phi covers "
@@ -297,7 +292,6 @@ def save_model(model: FittedTopicModel, path: str | Path,
     # accepted casualty of overwrite=True.
     arrays_tmp = path / (ARRAYS_FILENAME + ".tmp")
     manifest_tmp = path / (MANIFEST_FILENAME + ".tmp")
-    phi_member = path / PHI_MEMBER_FILENAME
     model_arrays = {
         "theta": model.theta,
         "assignments_flat": flat.astype(np.int64),
@@ -305,14 +299,10 @@ def save_model(model: FittedTopicModel, path: str | Path,
         "log_likelihoods": np.asarray(model.log_likelihoods,
                                       dtype=np.float64),
     }
-    if not externalize:
+    if not sharded:
         model_arrays["phi"] = np.asarray(model.phi, dtype=np.float64)
     with open(arrays_tmp, "wb") as handle:
         np.savez_compressed(handle, **model_arrays, **arrays)
-    phi_tmp = path / (PHI_MEMBER_FILENAME + ".tmp")
-    if mmap_phi:
-        with open(phi_tmp, "wb") as handle:
-            np.save(handle, word_major)
     for entry in shard_entries:
         shard_tmp = path / (entry["member"] + ".tmp")
         with open(shard_tmp, "wb") as handle:
@@ -325,15 +315,14 @@ def save_model(model: FittedTopicModel, path: str | Path,
     # --- swap window: old manifest gone first, new manifest last ---
     if manifest_path.exists():
         manifest_path.unlink()
-    if mmap_phi:
-        phi_tmp.replace(phi_member)
-    elif phi_member.exists():
-        # Overwriting a v2 artifact with a v1/v3 layout: drop the stale
-        # member so nothing can ever mmap an outdated phi.
-        phi_member.unlink()
+    legacy_member = path / PHI_MEMBER_FILENAME
+    if legacy_member.exists():
+        # Overwriting a legacy v2 artifact: drop the stale member so
+        # nothing can ever mmap an outdated phi.
+        legacy_member.unlink()
     new_members = {entry["member"] for entry in shard_entries}
     for stale in path.glob(PHI_SHARD_GLOB):
-        # Overwriting a v3 artifact with fewer shards (or a v1/v2
+        # Overwriting a v3 artifact with fewer shards (or a v1
         # layout): stale shard members beyond the new map must go, or a
         # future layout with more shards could resurrect them.
         if stale.name not in new_members:
@@ -345,69 +334,18 @@ def save_model(model: FittedTopicModel, path: str | Path,
     return path
 
 
-class _MmapGuard:
-    """Owns a v2 load's memory-mapped phi member for deterministic
-    release.
-
-    ``np.memmap`` never closes its file handle deterministically —
-    loads were leaking one descriptor + mapping each until garbage
-    collection got around to them.  :meth:`close` closes the map now
-    (best-effort: while the model's phi view still exports the buffer,
-    ``mmap.close`` raises ``BufferError`` and the collector keeps
-    ownership); a guard collected without ``close`` warns
-    ``ResourceWarning`` so leaks surface in tests instead of as fd
-    exhaustion in production.
-    """
-
-    __slots__ = ("_array", "_where", "_closed", "__weakref__")
-
-    def __init__(self, array: np.ndarray, where: Path) -> None:
-        self._array = array
-        self._where = str(where)
-        self._closed = False
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        array, self._array = self._array, None
-        mm = getattr(array, "_mmap", None)
-        if mm is not None:
-            try:
-                mm.close()
-            except BufferError:
-                # A live view still exports the buffer; the collector
-                # will close the map when the last view dies.
-                pass
-
-    def __del__(self) -> None:
-        try:
-            if not self._closed:
-                warnings.warn(  # repro: noqa[RPR002] finalizer: no caller frame; source= names the allocation site
-                    f"unclosed memory-mapped phi member {self._where}; "
-                    f"call LoadedModel.close()",
-                    ResourceWarning, source=self)
-        except Exception:  # pragma: no cover - interpreter shutdown
-            pass
-
-
 @dataclass(frozen=True)
 class LoadedModel:
     """A reloaded artifact: the fitted model plus its manifest facts.
 
-    ``phi_path`` points at the artifact's uncompressed word-major phi
-    member when the artifact has one (schema v2); serving layers hand
-    it to worker processes so each can map the same file.
-    ``phi_mmapped`` records whether this load actually mapped phi
-    (``load_model(..., mmap_phi=True)``, or any schema-v3 load — shard
-    blocks always map read-only) rather than reading it into memory.
-    ``shard_map`` is the v3 artifact's per-shard ``(start, stop)`` word
-    ranges (``None`` for v1/v2); the model's ``phi`` is then a lazy
-    :class:`~repro.serving.sharding.TransposedShardedPhi`.
+    ``phi_mmapped`` records whether this load maps phi (any v2 or v3
+    load — member blocks always map read-only) rather than reading it
+    into memory.  ``shard_map`` is then the per-shard ``(start, stop)``
+    word ranges (``((0, V),)`` for a v2 artifact; ``None`` for v1), and
+    the model's ``phi`` is a lazy
+    :class:`~repro.serving.sharding.TransposedShardedPhi`; serving
+    layers ship its shard map to worker processes so each maps the
+    same files.
 
     Loads that map files own them until :meth:`close`: call it (the
     registry does on cache eviction) to release maps and descriptors
@@ -419,20 +357,25 @@ class LoadedModel:
     schema_version: int
     path: Path
     manifest: dict[str, Any]
-    phi_path: Path | None = None
-    phi_mmapped: bool = False
-    shard_map: tuple[tuple[int, int], ...] | None = None
-    #: The closeable map owner — a :class:`_MmapGuard` (v2) or the
-    #: :class:`~repro.serving.sharding.ShardedPhi` itself (v3).
-    phi_resource: Any = field(default=None, repr=False)
+    #: The closeable map owner: the
+    #: :class:`~repro.serving.sharding.ShardedPhi` itself (v2/v3).
+    phi_resource: ShardedPhi | None = field(default=None, repr=False)
+
+    @property
+    def phi_mmapped(self) -> bool:
+        return self.phi_resource is not None
+
+    @property
+    def shard_map(self) -> tuple[tuple[int, int], ...] | None:
+        return (self.phi_resource.shard_ranges
+                if self.phi_resource is not None else None)
 
     def close(self) -> None:
         """Release the load's mapped phi resources (idempotent).
 
-        v2: closes the word-major map (best-effort while views of it
-        are live).  v3: drops the shard block cache and closes every
-        mapped shard file; the lazy view stays usable and re-maps on
-        the next gather.  v1 (nothing mapped): no-op.
+        v2/v3: drops the shard block cache and closes every mapped
+        member file; the lazy view stays usable and re-maps on the next
+        gather.  v1 (nothing mapped): no-op.
         """
         if self.phi_resource is not None:
             self.phi_resource.close()
@@ -470,10 +413,9 @@ def read_manifest(path: str | Path) -> dict[str, Any]:
     return manifest
 
 
-def _read_shard_map(manifest: dict[str, Any], phi_storage: dict,
+def _read_shard_map(manifest: dict[str, Any], shards: Any,
                     path: Path) -> ShardedPhi:
-    """Validate a v3 ``phi_storage`` shard map and build the lazy view."""
-    shards = phi_storage.get("shards")
+    """Validate a shard list and build the lazy view over it."""
     vocab_size = manifest.get("vocab_size")
     num_topics = manifest.get("num_topics")
     if not isinstance(shards, list) or not shards \
@@ -481,8 +423,7 @@ def _read_shard_map(manifest: dict[str, Any], phi_storage: dict,
             or not isinstance(num_topics, int):
         raise ManifestError(
             f"sharded artifact manifest needs a non-empty shard list "
-            f"plus integer vocab_size/num_topics, got "
-            f"{phi_storage!r}")
+            f"plus integer vocab_size/num_topics, got {shards!r}")
     cursor = 0
     for entry in shards:
         if not isinstance(entry, dict) \
@@ -506,7 +447,7 @@ def _read_shard_map(manifest: dict[str, Any], phi_storage: dict,
     for shard_path in shard_paths:
         if not shard_path.is_file():
             raise ArtifactError(
-                f"artifact phi shard missing at {shard_path}")
+                f"artifact phi member missing at {shard_path}")
     masses = (tuple(float(entry["mass"]) for entry in shards)
               if all(isinstance(entry.get("mass"), (int, float))
                      for entry in shards) else None)
@@ -524,22 +465,20 @@ def load_model(path: str | Path, mmap_phi: bool = False, *,
     """Reload an artifact written by :func:`save_model`.
 
     ``phi``/``theta``/assignments/labels/metadata are restored bit-exact
-    (float64 arrays round-trip losslessly through the ``.npz``; the v2
-    uncompressed phi member is lossless by construction).
+    (float64 arrays round-trip losslessly through the ``.npz``; the
+    uncompressed phi members are lossless by construction).
 
-    With ``mmap_phi=True`` and a schema-v2 artifact, ``model.phi``
-    becomes a read-only zero-copy view of the memory-mapped member, so
-    any number of processes loading the same artifact share one
-    physical copy.  v1 artifacts (phi inside the ``.npz``, which can
-    never be mapped) still load, falling back to an in-memory phi with
-    a warning.
-
-    Schema-v3 (sharded) artifacts load **lazily** regardless of
-    ``mmap_phi``: ``model.phi`` becomes the ``(T, V)`` face of a
-    :class:`~repro.serving.sharding.ShardedPhi` that maps shard blocks
-    read-only on first touch, so loading never materializes the matrix
-    and serving maps only the shards queries actually reference
-    (materializing via ``np.asarray(model.phi)`` stays bit-exact).
+    Artifacts with externalized phi — schema v3, and legacy schema v2,
+    read as a one-shard view over its ``phi_word_major.npy`` — load
+    **lazily**: ``model.phi`` becomes the ``(T, V)`` face of a
+    :class:`~repro.serving.sharding.ShardedPhi` that maps member blocks
+    read-only on first touch, so loading never materializes the matrix,
+    serving maps only the shards queries actually reference, and any
+    number of processes loading the same artifact share one physical
+    copy (materializing via ``np.asarray(model.phi)`` stays bit-exact).
+    ``mmap_phi=True`` asks for that mapped phi: v1 artifacts (phi inside
+    the ``.npz``, which can never be mapped) still load, falling back
+    to an in-memory phi with a warning.
 
     ``stacklevel`` positions the v1 mmap-fallback warning (standard
     :func:`warnings.warn` convention counted from this function; the
@@ -553,7 +492,6 @@ def load_model(path: str | Path, mmap_phi: bool = False, *,
     if not arrays_path.is_file():
         raise ArtifactError(f"artifact arrays missing at {arrays_path}")
     phi_storage = manifest.get("phi_storage")
-    phi_path: Path | None = None
     sharded: ShardedPhi | None = None
     if phi_storage is not None:
         if not isinstance(phi_storage, dict):
@@ -562,17 +500,18 @@ def load_model(path: str | Path, mmap_phi: bool = False, *,
                 f"{phi_storage!r}")
         layout = phi_storage.get("layout")
         if layout == "word_major_sharded":
-            sharded = _read_shard_map(manifest, phi_storage, path)
+            shards = phi_storage.get("shards")
         elif layout == "word_major" \
                 and isinstance(phi_storage.get("member"), str):
-            phi_path = path / phi_storage["member"]
-            if not phi_path.is_file():
-                raise ArtifactError(
-                    f"artifact phi member missing at {phi_path}")
+            # Legacy v2: the whole word-major matrix in one member —
+            # the same bytes as a one-shard v3 layout.
+            shards = [{"member": phi_storage["member"], "start": 0,
+                       "stop": manifest.get("vocab_size")}]
         else:
             raise ManifestError(
                 f"artifact manifest has unsupported phi_storage "
                 f"{phi_storage!r}")
+        sharded = _read_shard_map(manifest, shards, path)
     elif mmap_phi:
         warnings.warn(
             f"artifact at {path} stores phi inside the compressed "
@@ -580,27 +519,15 @@ def load_model(path: str | Path, mmap_phi: bool = False, *,
             f"loading phi into memory instead — re-save with "
             f"mmap_phi=True for a mappable artifact",
             RuntimeWarning, stacklevel=stacklevel)
-        mmap_phi = False
-    externalized = phi_path is not None or sharded is not None
     required = tuple(key for key in _MODEL_ARRAY_KEYS
-                     if key != "phi" or not externalized)
-    phi_resource: Any = None
+                     if key != "phi" or sharded is None)
     with np.load(arrays_path) as arrays:
         missing = [key for key in required if key not in arrays]
         if missing:
             raise ArtifactError(
                 f"artifact arrays at {arrays_path} are missing {missing}")
-        if sharded is not None:
-            phi = sharded.T  # canonical (T, V) face, still lazy
-            phi_resource = sharded
-        elif phi_path is None:
-            phi = arrays["phi"]
-        else:
-            word_major = np.load(
-                phi_path, mmap_mode="r" if mmap_phi else None)
-            phi = word_major.T  # canonical (T, V); zero-copy view
-            if mmap_phi:
-                phi_resource = _MmapGuard(word_major, phi_path)
+        # The canonical (T, V) face of a sharded view stays lazy.
+        phi = arrays["phi"] if sharded is None else sharded.T
         theta = arrays["theta"]
         flat = arrays["assignments_flat"]
         lengths = arrays["assignment_lengths"]
@@ -631,10 +558,4 @@ def load_model(path: str | Path, mmap_phi: bool = False, *,
                        model_class=manifest.get("model_class"),
                        schema_version=int(manifest["schema_version"]),
                        path=path, manifest=manifest,
-                       phi_path=phi_path,
-                       phi_mmapped=bool(sharded is not None
-                                        or (mmap_phi
-                                            and phi_path is not None)),
-                       shard_map=(sharded.shard_ranges
-                                  if sharded is not None else None),
-                       phi_resource=phi_resource)
+                       phi_resource=sharded)

@@ -82,7 +82,7 @@ stay on the per-document lane.  The constant is the measured crossover
 of the two lanes (``benchmarks/test_bench_serving.py``).  The exact
 lane and the shared-stream :meth:`FoldInEngine.theta` never batch.
 
-Sharded phi (schema-v3 artifacts): when ``phi`` is the lazy
+Mapped phi (schema-v2/v3 artifacts): when ``phi`` is the lazy
 ``(T, V)`` face of a :class:`~repro.serving.sharding.ShardedPhi`, the
 engine goes **shard-aware** instead of materializing.  The exact lane
 gathers through the view's shard-local ``take``; the sparse lane's
@@ -91,9 +91,13 @@ prior masses and alias tables are built **per shard, on first touch**
 :func:`~repro.sampling.alias.build_alias_rows` are row-independent, so
 the per-shard tables are bit-identical to whole-matrix tables row for
 row and the served theta never depends on the shard layout (pinned by
-``tests/test_sharded_serving.py``).  A single-shard view takes the
-dense fast path (its one block *is* the v2 word-major matrix), keeping
-shards=1 serving throughput at parity with unsharded.
+``tests/test_sharded_serving.py``).  A single-shard view — the
+``mmap_phi=True`` layout, and every legacy v2 artifact — takes the
+dense fast path off its one block, the whole word-major matrix, keeping
+shards=1 serving throughput at parity with unsharded; its
+stochasticity check runs on that block and raises (never renormalizes:
+worker processes re-map the file, so a private renormalized copy would
+serve different bits than the workers).
 :meth:`FoldInEngine.touch` prefetches exactly the shards a batch
 needs; :meth:`FoldInEngine.theta` touches each batch before sampling
 it.
@@ -340,10 +344,10 @@ class FoldInEngine:
     phi:
         Topic-word distributions ``(T, V)``; validated once here (pass
         ``validate=False`` when the caller already ran
-        :func:`validate_phi`).  A read-only memory-map (from
-        ``load_model(..., mmap_phi=True)``, whose word-major layout
-        transposes to ``(T, V)`` as a zero-copy view) is kept as-is, so
-        many worker processes share one physical copy.
+        :func:`validate_phi`).  The lazy face of a mapped artifact
+        (``load_model`` of a v2/v3 artifact) is served from its
+        read-only member maps as-is, so many worker processes share one
+        physical copy; validation checks it without renormalizing.
     alpha:
         Symmetric document-topic prior of the fold-in sampler.
     iterations:
@@ -402,6 +406,20 @@ class FoldInEngine:
             phi = validate_phi(phi, stacklevel=3) if validate \
                 else np.asarray(phi, dtype=np.float64)
             num_topics, vocab_size = phi.shape
+        elif sharded.num_shards == 1:
+            vocab_size, num_topics = sharded.shape
+            if validate:
+                # The one block is mapped for serving anyway, so check
+                # every row; raise rather than renormalize into a
+                # private copy that re-mapping workers would not share.
+                block = sharded.block(0)
+                if np.any(block < 0):
+                    raise ValueError("phi has negative entries")
+                if not np.allclose(block.sum(axis=0), 1.0, rtol=0.0,
+                                   atol=PHI_SUM_ATOL):
+                    raise ValueError(
+                        f"phi rows must sum to 1 within {PHI_SUM_ATOL:g}; "
+                        f"a mapped phi is never renormalized")
         else:
             # Row-stochasticity checks would map every shard, defeating
             # the lazy view; the shard map itself was validated at load
@@ -427,7 +445,7 @@ class FoldInEngine:
         self._sharded = sharded
         self._sparse_tables: _ShardedFoldInTables | None = None
         if sharded is not None and sharded.num_shards == 1:
-            # One shard *is* the v2 word-major matrix: serve the dense
+            # One shard is the whole word-major matrix: serve the dense
             # fast path off its block so the per-token loop is
             # byte-for-byte the unsharded one (no per-word shard
             # lookups), while touch()/mapped-bytes accounting keep
@@ -437,8 +455,8 @@ class FoldInEngine:
             phi_by_word = sharded
         else:
             #: ``(V, T)`` layout for per-word row gathers.  When ``phi``
-            #: is the transpose view of an already word-major array (the
-            #: mmap artifact layout), this is that array itself — no
+            #: is the transpose view of an already word-major array (a
+            #: worker's spec array), this is that array itself — no
             #: copy.
             phi_by_word = np.ascontiguousarray(phi.T)
         self._phi_by_word = phi_by_word

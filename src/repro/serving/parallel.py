@@ -38,10 +38,9 @@ wasted_tokens}`` counters record what hedging cost.
 Workers are OS processes (the per-token loop is Python, so threads
 would serialize on the GIL).  Each worker builds one engine and one
 :class:`~repro.serving.foldin.FoldInScratch` at pool start from an
-:class:`EngineSpec`; when the spec points at a schema-v2 artifact's
-uncompressed phi member, workers ``np.load(..., mmap_mode="r")`` it and
-the OS page cache shares one physical copy of the model across the
-whole pool.
+:class:`EngineSpec`; when the spec carries a mapped artifact's shard
+map, workers map the same ``.npy`` members read-only and the OS page
+cache shares one physical copy of the model across the whole pool.
 """
 
 from __future__ import annotations
@@ -99,9 +98,10 @@ def _pool_context():
     the fork, and a serving process with concurrent callers is exactly
     that.  So ``fork`` backs only single-threaded-at-pool-start
     parents; a threaded parent gets ``forkserver`` (workers rebuild
-    from the picklable :class:`EngineSpec`, with an mmap'd phi still
-    shared through the file).  Non-POSIX platforms fall back to the
-    default context.
+    from the picklable :class:`EngineSpec`, re-mapping a mapped
+    artifact's shard files, so its phi is still shared through the
+    page cache).  Non-POSIX platforms fall back to the default
+    context.
 
     Fork additionally requires Python >= 3.11, where a fork-context
     executor launches **all** its workers at the first submit
@@ -203,26 +203,24 @@ class WorkerFault:
 class EngineSpec:
     """Everything a worker needs to rebuild the fold-in engine.
 
-    Exactly one of ``phi`` / ``phi_path`` / ``sharded`` is set — all in
-    the word-major ``(V, T)`` layout the engine gathers from, so
-    rebuilding an engine from any of them is copy-free.  ``phi`` ships
-    the validated array to the worker (pickled once at pool start);
-    ``phi_path`` names the uncompressed ``.npy`` member written by
-    ``save_model(..., mmap_phi=True)``, which every worker maps
-    read-only so a large model exists once in physical memory;
-    ``sharded`` is a schema-v3 lazy
-    :class:`~repro.serving.sharding.ShardedPhi` whose pickle carries
-    only the shard *map* — each worker unpickles an unmapped view and
-    lazily maps just the shards its own documents touch.
-    ``phi`` is stored pre-validated, so workers skip re-validation (and
-    can never renormalize differently than the parent did).
+    Exactly one of ``phi`` / ``sharded`` is set — both in the
+    word-major ``(V, T)`` layout the engine gathers from, so rebuilding
+    an engine from either is copy-free.  ``phi`` ships the validated
+    array to the worker (pickled once at pool start); ``sharded`` is a
+    mapped artifact's lazy :class:`~repro.serving.sharding.ShardedPhi`
+    (schema v3, or a legacy v2 member read as one shard) whose pickle
+    carries only the shard *map* — each worker unpickles an unmapped
+    view and maps the same files read-only, so a large model exists
+    once in physical memory, and with several shards each worker maps
+    just the shards its own documents touch.  Both sources are
+    pre-validated, so workers skip re-validation (and the parent never
+    renormalizes a mapped phi, so workers serve its exact bits).
     """
 
     alpha: float
     iterations: int
     mode: str
     phi: np.ndarray | None = None
-    phi_path: str | None = None
     sharded: ShardedPhi | None = None
     #: Resolved token-loop backend name (never "auto": workers must
     #: sample on the same backend the parent resolved, not re-resolve
@@ -230,24 +228,16 @@ class EngineSpec:
     backend: str = "python"
 
     def __post_init__(self) -> None:
-        provided = sum(source is not None
-                       for source in (self.phi, self.phi_path,
-                                      self.sharded))
-        if provided != 1:
+        if (self.phi is None) == (self.sharded is None):
             raise ValueError(
-                "exactly one of phi / phi_path / sharded must be "
-                "provided")
+                "exactly one of phi / sharded must be provided")
         if self.mode not in MODES:
             raise ValueError(
                 f"mode must be one of {MODES}, got {self.mode!r}")
 
     def build_engine(self) -> FoldInEngine:
-        if self.sharded is not None:
-            word_major = self.sharded
-        elif self.phi_path is not None:
-            word_major = np.load(self.phi_path, mmap_mode="r")
-        else:
-            word_major = self.phi
+        word_major = self.sharded if self.sharded is not None \
+            else self.phi
         # The engine re-transposes to word-major internally; handing it
         # the (T, V) transpose view makes that a no-op, not a copy.
         return FoldInEngine(word_major.T, self.alpha,
@@ -274,8 +264,8 @@ def _init_worker(engine_or_spec: FoldInEngine | EngineSpec,
     O(V * T) alias tables exist once in physical memory across the
     whole pool and are never rebuilt.  Non-fork contexts receive the
     picklable :class:`EngineSpec` and rebuild (paying the alias
-    construction per worker, but keeping mmap'd phi shared via the
-    file).
+    construction per worker, but keeping a mapped phi shared via its
+    files).
 
     ``fault_counter`` is a shared ``multiprocessing.Value`` handing
     each worker a distinct initialization rank (initargs travel with
@@ -395,11 +385,6 @@ class ParallelFoldIn:
     num_workers:
         Initial process count.  Results are bit-identical for every
         value; the right number is roughly the machine's core count.
-    phi_path:
-        Optional path to the artifact's uncompressed word-major phi
-        member.  When given (and the engine's phi actually is that
-        mapping — renormalized copies disqualify), workers re-map the
-        file instead of receiving a pickled copy.
     recorder:
         Optional :class:`~repro.telemetry.Recorder` collecting
         per-worker utilization (``serving.worker.{docs,tokens,
@@ -433,7 +418,6 @@ class ParallelFoldIn:
     """
 
     def __init__(self, engine: FoldInEngine, num_workers: int = 1,
-                 phi_path: str | Path | None = None,
                  recorder: Recorder | None = None, *,
                  task_docs: int | None = None,
                  hedge: HedgePolicy | None = None,
@@ -465,46 +449,16 @@ class ParallelFoldIn:
         self.hedge = hedge
         self.fault = fault
         self.recorder = ensure_recorder(recorder)
-        if engine.sharded is not None:
-            # Sharded engines ship the shard map, never the matrix: the
-            # ShardedPhi pickle is a few paths + offsets, and each
-            # non-fork worker maps only the shards its documents touch.
-            # (Fork workers inherit the parent's view copy-on-write and
-            # do the same.)
-            self._spec = EngineSpec(
-                alpha=engine.alpha, iterations=engine.iterations,
-                mode=engine.mode, sharded=engine.sharded,
-                backend=engine.backend_name)
-        else:
-            phi_by_word = engine._phi_by_word
-            share_file = False
-            if phi_path is not None:
-                # Only hand workers the file if the parent engine is
-                # really serving from *this* file: validate_phi may
-                # have renormalized into a private copy, and an engine
-                # built from one artifact could be paired with another
-                # artifact's path — either way workers would silently
-                # serve different phi than the parent, so the mapped
-                # filename must match.
-                target = Path(phi_path).resolve()
-                base = phi_by_word
-                while base is not None:
-                    if isinstance(base, np.memmap):
-                        mapped = getattr(base, "filename", None)
-                        share_file = (mapped is not None
-                                      and Path(mapped).resolve()
-                                      == target)
-                        break
-                    base = getattr(base, "base", None)
-            # Ship the *resolved* path: a relative one would be
-            # resolved against whatever cwd a non-fork worker (or a
-            # later chdir) happens to have.
-            self._spec = EngineSpec(
-                alpha=engine.alpha, iterations=engine.iterations,
-                mode=engine.mode,
-                phi=None if share_file else phi_by_word,
-                phi_path=str(target) if share_file else None,
-                backend=engine.backend_name)
+        # Mapped engines ship the shard map, never the matrix: the
+        # ShardedPhi pickle is a few paths + offsets, and each non-fork
+        # worker maps the same files (with several shards, only those
+        # its documents touch).  Fork workers inherit the parent's view
+        # copy-on-write and do the same.
+        self._spec = EngineSpec(
+            alpha=engine.alpha, iterations=engine.iterations,
+            mode=engine.mode,
+            phi=engine._phi_by_word if engine.sharded is None else None,
+            sharded=engine.sharded, backend=engine.backend_name)
         self._pool: ProcessPoolExecutor | None = None
         self._pool_lock = threading.Lock()
         self._pool_size = min(max_workers,
@@ -894,7 +848,7 @@ class ParallelFoldIn:
                 f"pool_size={self._pool_size}, "
                 f"mode={self.engine.mode!r}, "
                 f"hedge={'on' if self.hedge is not None else 'off'}, "
-                f"mmap={self._spec.phi_path is not None}, "
+                f"mmap={self._spec.sharded is not None}, "
                 f"pool={'up' if self._pool is not None else 'down'})")
 
 

@@ -98,7 +98,7 @@ class ModelRegistry:
         self.root = Path(root)
         self.cache_size = int(cache_size)
         self.recorder = ensure_recorder(recorder)
-        self._cache: OrderedDict[tuple[str, int, bool, str],
+        self._cache: OrderedDict[tuple[str, int, str],
                                  LoadedModel] = OrderedDict()
 
     # ------------------------------------------------------------------
@@ -184,8 +184,8 @@ class ModelRegistry:
         the loser of a ``mkdir`` race rescans and takes the next free
         number (auto-versioning) or fails loudly (explicit version).
         ``mmap_phi`` and ``shard_words`` are forwarded to
-        :func:`save_model` (schema-v2 artifact with a mappable phi
-        member, or a schema-v3 column-sharded artifact).
+        :func:`save_model` (a schema-v3 artifact with one mappable phi
+        shard, or with ``shard_words``-word shards).
         """
         self._check_name(name)
         (self.root / name).mkdir(parents=True, exist_ok=True)
@@ -237,11 +237,12 @@ class ModelRegistry:
         Resolving ``version=None`` re-checks the directory for the
         latest version on every call, so freshly published models are
         picked up; the cache key is the concrete resolved version plus
-        the load flavor (``mmap_phi``) plus a fingerprint of the
-        artifact's phi storage (schema version, layout and — for
-        sharded artifacts — the shard map), so a memory-mapped and an
-        in-memory load, or two storage flavors interleaved at the same
-        coordinates, are distinct cache entries.
+        a fingerprint of the artifact's phi storage (schema version,
+        layout and — for sharded artifacts — the shard map), so two
+        storage flavors interleaved at the same coordinates are
+        distinct cache entries.  ``mmap_phi`` is not part of the key:
+        it never changes what a load returns (mapped artifacts always
+        load mapped; on a v1 artifact it only warns, on a cache miss).
 
         Evicted entries (LRU overflow or a stale fingerprint at the
         same coordinates) have ``close()`` called so their mmap
@@ -249,16 +250,16 @@ class ModelRegistry:
         """
         record = self.resolve(name, version)
         fingerprint = _phi_fingerprint(read_manifest(record.path))
-        key = (record.name, record.version, bool(mmap_phi), fingerprint)
+        key = (record.name, record.version, fingerprint)
         cached = self._cache.get(key)
         if cached is not None:
             self._cache.move_to_end(key)
             self.recorder.count("registry.cache_hits")
             return cached
         self.recorder.count("registry.cache_misses")
-        # Purge cache entries for the same (name, version, flavor) whose
-        # stored fingerprint no longer matches the on-disk artifact.
-        stale = [k for k in self._cache if k[:3] == key[:3]]
+        # Purge cache entries for the same (name, version) whose stored
+        # fingerprint no longer matches the on-disk artifact.
+        stale = [k for k in self._cache if k[:2] == key[:2]]
         for stale_key in stale:
             self._evict(self._cache.pop(stale_key))
         loaded = load_model(record.path, mmap_phi=mmap_phi,
@@ -284,8 +285,8 @@ class ModelRegistry:
         return read_manifest(self.resolve(name, version).path)
 
     @property
-    def cached_keys(self) -> tuple[tuple[str, int, bool, str], ...]:
-        """Current cache contents as ``(name, version, mmap,
+    def cached_keys(self) -> tuple[tuple[str, int, str], ...]:
+        """Current cache contents as ``(name, version,
         phi-fingerprint)`` keys, least recently used first (for tests
         and monitoring)."""
         return tuple(self._cache)

@@ -157,12 +157,11 @@ class InferenceSession:
         Worker processes for fold-in (see
         :class:`~repro.serving.parallel.ParallelFoldIn`); ``1`` (the
         default) runs inline.  Results are bit-identical for every
-        value.  Sessions built from
-        ``load_model(..., mmap_phi=True)`` artifacts hand workers the
-        artifact's phi member path, so the whole pool shares one
-        physical phi; sessions over schema-v3 column-sharded artifacts
-        ship workers the shard *map* instead, and each worker maps only
-        the shards its documents touch (out-of-core serving; see
+        value.  Sessions over mapped artifacts (schema v3, e.g.
+        ``save_model(..., mmap_phi=True)``, or legacy v2) ship workers
+        the shard *map*, so the whole pool maps the same files and
+        shares one physical phi; with several shards each worker maps
+        only the shards its documents touch (out-of-core serving; see
         :mod:`repro.serving.sharding`).
     min_workers / max_workers:
         Elastic bounds on the fold-in pool (both default to
@@ -205,7 +204,6 @@ class InferenceSession:
                  hedge_policy: HedgePolicy | None = None,
                  backend: str = "auto",
                  recorder: Recorder | None = None) -> None:
-        wrapper = model
         model = getattr(model, "model", model)
         if not isinstance(model, FittedTopicModel):
             raise TypeError(
@@ -232,9 +230,10 @@ class InferenceSession:
         if isinstance(phi, np.ndarray):
             # Validate here rather than inside the engine so a
             # renormalization warning names the line that built the
-            # session, not library internals.  Sharded phi skips this
-            # (its stochasticity check rides the manifest's per-shard
-            # masses inside the engine, and raises rather than warns).
+            # session, not library internals.  Mapped phi skips this
+            # (the engine checks it — a one-shard view row by row, a
+            # multi-shard one by the manifest's per-shard masses — and
+            # raises rather than renormalizes).
             phi = validate_phi(phi, stacklevel=3)
             validate = False
         else:
@@ -245,14 +244,10 @@ class InferenceSession:
                                     backend=backend,
                                     validate=validate,
                                     recorder=self.recorder)
-        # LoadedModel wrappers of v2 artifacts carry the mappable phi
-        # member path; worker processes re-map it instead of receiving
-        # a pickled copy.  v3 (sharded) artifacts need no path here:
-        # ParallelFoldIn detects the engine's lazy sharded phi and
-        # ships workers the shard map.
+        # ParallelFoldIn detects a mapped engine's lazy sharded phi
+        # and ships workers the shard map, not a pickled copy.
         self._foldin = ParallelFoldIn(
             self._engine, num_workers=num_workers,
-            phi_path=getattr(wrapper, "phi_path", None),
             recorder=self.recorder, task_docs=task_docs,
             hedge=hedge_policy, min_workers=min_workers,
             max_workers=max_workers)

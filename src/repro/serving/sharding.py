@@ -1,14 +1,16 @@
 """Column-sharded phi: lazy word-major shard views for out-of-core serving.
 
-PR 4's schema-v2 artifact externalized ``phi`` as one uncompressed
-word-major ``phi_word_major.npy`` so serving workers could map a single
-shared copy.  That stops scaling once ``V * T * 8`` bytes outgrow one
-node: mapping the member still reserves address space for the whole
-matrix and faulting a query batch's working set drags the rest of the
-file through the page cache.  Schema v3 (:mod:`repro.serving.artifacts`)
-splits the same word-major matrix along the **vocabulary axis** into
-contiguous ``phi_shard_<k>.npy`` members, and this module provides the
-serving-side view over them:
+Mappable artifacts (:mod:`repro.serving.artifacts`) externalize phi as
+its word-major ``(V, T)`` transpose in uncompressed ``.npy`` members, so
+serving workers map one shared copy instead of each holding their own.
+Mapping one whole-matrix member stops scaling once ``V * T * 8`` bytes
+outgrow one node: it still reserves address space for the whole matrix,
+and faulting a query batch's working set drags the rest of the file
+through the page cache.  Schema v3 therefore splits the word-major
+matrix along the **vocabulary axis** into contiguous
+``phi_shard_<k>.npy`` members (one member is the ``mmap_phi=True``
+layout; a legacy schema-v2 ``phi_word_major.npy`` is read as one shard
+too), and this module provides the serving-side view over them:
 
 :class:`ShardedPhi`
     A lazy word-major ``(V, T)`` view.  Shards are mapped read-only on
@@ -215,7 +217,14 @@ class ShardedPhi:
             if block is not None:
                 return block
             path = self._paths[shard]
-            raw = np.load(path, mmap_mode="r" if self._mmap else None)
+            try:
+                raw = np.load(path, mmap_mode="r" if self._mmap else None)
+            except (OSError, ValueError, EOFError) as error:
+                # numpy's own messages (e.g. "mmap length is greater
+                # than file size") name no file.
+                raise ValueError(
+                    f"phi shard {shard} at {path} cannot be loaded: "
+                    f"{error}") from error
             expected = (self._stops[shard] - self._starts[shard],
                         self._num_topics)
             if raw.shape != expected or raw.dtype != self.dtype:

@@ -1,13 +1,48 @@
-"""Shared fixtures: small corpora and knowledge sources."""
+"""Shared fixtures: small corpora, knowledge sources, and a legacy
+artifact writer."""
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.knowledge.source import KnowledgeSource
 from repro.knowledge.wikipedia import SyntheticWikipedia
+from repro.serving import PHI_MEMBER_FILENAME, save_model
+from repro.serving.artifacts import ARRAYS_FILENAME, MANIFEST_FILENAME
 from repro.text.corpus import Corpus
+
+
+def write_v2_artifact(model, path) -> Path:
+    """Hand-write a legacy schema-v2 artifact of ``model`` at ``path``.
+
+    The library reads v2 but never writes it; this reproduces the
+    layout for the reader tests: phi leaves the ``.npz`` and lands
+    uncompressed in ``phi_word_major.npy`` as its contiguous word-major
+    ``(V, T)`` transpose, and the manifest says ``schema_version: 2``
+    with a whole-member ``phi_storage``.
+    """
+    path = save_model(model, path)
+    with np.load(path / ARRAYS_FILENAME) as arrays:
+        kept = {key: arrays[key] for key in arrays.files if key != "phi"}
+        phi = arrays["phi"]
+    np.save(path / PHI_MEMBER_FILENAME, np.ascontiguousarray(phi.T))
+    np.savez_compressed(path / ARRAYS_FILENAME, **kept)
+    manifest = json.loads((path / MANIFEST_FILENAME).read_text())
+    manifest["schema_version"] = 2
+    manifest["phi_storage"] = {"member": PHI_MEMBER_FILENAME,
+                               "layout": "word_major"}
+    (path / MANIFEST_FILENAME).write_text(json.dumps(manifest, indent=2))
+    return path
+
+
+@pytest.fixture(scope="session")
+def v2_artifact():
+    """:func:`write_v2_artifact`, for tests in any module."""
+    return write_v2_artifact
 
 
 @pytest.fixture

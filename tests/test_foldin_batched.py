@@ -27,10 +27,10 @@ TOPICS = 24
 VOCAB = 40
 ALPHA = 0.3
 ITERATIONS = 4
-#: Phi layouts: ``None`` is the in-memory array, ``"mmap"`` the v2
+#: Phi layouts: ``None`` is the in-memory array, ``"v2"`` a legacy v2
 #: word-major member, integers are v3 ``shard_words`` (VOCAB = one
-#: shard, down to one word per shard).
-LAYOUTS = (None, "mmap", VOCAB, 7, 1)
+#: shard, the ``mmap_phi=True`` layout, down to one word per shard).
+LAYOUTS = (None, "v2", VOCAB, 7, 1)
 
 PYTHON = resolve_backend("python")
 
@@ -50,7 +50,7 @@ def _phi_with_zeros() -> np.ndarray:
 
 
 @pytest.fixture(scope="module")
-def engines(tmp_path_factory):
+def engines(tmp_path_factory, v2_artifact):
     """One sparse engine per phi layout, all serving the same phi."""
     phi = _phi_with_zeros()
     model = FittedTopicModel(
@@ -63,8 +63,8 @@ def engines(tmp_path_factory):
     for layout in LAYOUTS:
         if layout is None:
             served = phi
-        elif layout == "mmap":
-            served = load_model(save_model(model, root / "v2", mmap_phi=True),
+        elif layout == "v2":
+            served = load_model(v2_artifact(model, root / "v2"),
                                 mmap_phi=True).model.phi
         else:
             served = load_model(save_model(

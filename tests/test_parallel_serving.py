@@ -3,6 +3,8 @@ process pool, alias-table prior draws, and end-to-end determinism."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -12,8 +14,8 @@ from repro.sampling.alias import (alias_draw, build_alias_rows,
 from repro.sampling.rng import (document_rng, document_seed_sequence,
                                 ensure_seed_sequence)
 from repro.serving import (EngineSpec, FoldInEngine, HedgePolicy,
-                           InferenceSession, ParallelFoldIn, WorkerFault,
-                           load_model, save_model)
+                           InferenceSession, ParallelFoldIn, ShardedPhi,
+                           WorkerFault, load_model, save_model)
 from repro.text.vocabulary import Vocabulary
 
 WORKER_COUNTS = (1, 2, 4)
@@ -183,7 +185,8 @@ class TestParallelFoldIn:
             EngineSpec(alpha=0.4, iterations=5, mode="sparse")
         with pytest.raises(ValueError, match="exactly one"):
             EngineSpec(alpha=0.4, iterations=5, mode="sparse",
-                       phi=np.ones((2, 2)), phi_path="somewhere.npy")
+                       phi=np.ones((2, 2)),
+                       sharded=ShardedPhi(["somewhere.npy"], [0], 2, 2))
 
     @pytest.mark.parametrize("mode", ["exact", "sparse"])
     def test_inline_theta_is_reentrant_across_threads(self, mode,
@@ -247,24 +250,6 @@ class TestParallelFoldIn:
         cold = ParallelFoldIn(engine, num_workers=2)
         assert np.array_equal(warm, cold.theta(query_docs, seed=4))
         cold.close()
-
-    def test_phi_path_must_match_the_mapped_file(self, frozen_phi,
-                                                 tmp_path):
-        """Workers are handed phi_path only when the parent engine is
-        mapping that very file — a path to a *different* artifact (or
-        an engine serving a private renormalized copy) must ship the
-        parent's array instead, or workers would silently serve
-        different phi than the inline path."""
-        word_major = np.ascontiguousarray(frozen_phi.T)
-        for name in ("a.npy", "b.npy"):
-            np.save(tmp_path / name, word_major)
-        mapped = np.load(tmp_path / "a.npy", mmap_mode="r")
-        engine = FoldInEngine(mapped.T, 0.4, validate=False)
-        same = ParallelFoldIn(engine, phi_path=tmp_path / "a.npy")
-        assert same._spec.phi_path is not None
-        foreign = ParallelFoldIn(engine, phi_path=tmp_path / "b.npy")
-        assert foreign._spec.phi_path is None
-        assert foreign._spec.phi is not None
 
     def test_close_during_concurrent_theta_is_safe(self, frozen_phi,
                                                    query_docs):
@@ -573,15 +558,21 @@ class TestServingDeterminism:
                         (workers, batch_size)
 
     def test_v1_and_mmap_v2_serve_identical_theta(self, served_model,
-                                                  raw_queries, tmp_path):
-        """A v1 artifact load and a mmap v2 load serve the same bits at
-        every worker count."""
+                                                  raw_queries, tmp_path,
+                                                  v2_artifact):
+        """A v1 artifact load, a legacy v2 load and a one-shard v3
+        (``mmap_phi=True``) load serve the same bits at every worker
+        count."""
         v1 = load_model(save_model(served_model, tmp_path / "v1"))
-        v2 = load_model(save_model(served_model, tmp_path / "v2",
+        v2 = load_model(v2_artifact(served_model, tmp_path / "v2"),
+                        mmap_phi=True)
+        v3 = load_model(save_model(served_model, tmp_path / "v3",
                                    mmap_phi=True), mmap_phi=True)
-        assert v2.phi_mmapped
+        assert v2.phi_mmapped and v3.phi_mmapped
+        assert v2.shard_map == v3.shard_map == (
+            (0, served_model.vocab_size),)
         reference = None
-        for loaded in (v1, v2):
+        for loaded in (v1, v2, v3):
             for workers in WORKER_COUNTS:
                 with InferenceSession(loaded, iterations=6, seed=3,
                                       num_workers=workers) as session:
@@ -593,13 +584,21 @@ class TestServingDeterminism:
                         (loaded.schema_version, workers)
 
     def test_mmap_session_ships_path_not_array(self, served_model,
-                                               tmp_path):
-        loaded = load_model(save_model(served_model, tmp_path / "m",
-                                       mmap_phi=True), mmap_phi=True)
-        session = InferenceSession(loaded, num_workers=2, seed=0)
-        spec = session._foldin._spec
-        assert spec.phi_path is not None and spec.phi is None
-        session.close()
+                                               tmp_path, v2_artifact):
+        """Mapped sessions hand workers the member paths (the shard
+        map), never a pickled phi, so the pool maps the same file."""
+        for path in (save_model(served_model, tmp_path / "v3",
+                                mmap_phi=True),
+                     v2_artifact(served_model, tmp_path / "v2")):
+            loaded = load_model(path, mmap_phi=True)
+            session = InferenceSession(loaded, num_workers=2, seed=0)
+            spec = session._foldin._spec
+            assert spec.phi is None
+            assert spec.sharded is loaded.phi_resource
+            assert len(spec.sharded.shard_paths) == 1
+            assert Path(spec.sharded.shard_paths[0]).parent == path
+            session.close()
+            loaded.close()
 
     def test_session_is_reentrant_across_threads(self, served_model,
                                                  raw_queries):

@@ -4,6 +4,7 @@ sessions)."""
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -172,7 +173,8 @@ class TestArtifactRoundTrip:
 
 
 class TestMmapArtifacts:
-    """Schema-v2 artifacts: the uncompressed, mappable phi member."""
+    """Mappable artifacts: ``mmap_phi=True`` writes a one-shard v3
+    artifact; legacy schema-v2 artifacts load as a one-shard view."""
 
     def _memmap_backed(self, array):
         base = array
@@ -182,29 +184,51 @@ class TestMmapArtifacts:
             base = getattr(base, "base", None)
         return False
 
-    def test_v2_round_trip_bit_exact(self, fitted_models, tmp_path):
+    def test_mmap_phi_writes_one_shard_v3(self, fitted_models, tmp_path):
         fitted = fitted_models["SourceLDA"]
         path = save_model(fitted, tmp_path / "m", mmap_phi=True)
-        assert (path / "phi_word_major.npy").is_file()
+        manifest = read_manifest(path)
+        assert manifest["schema_version"] == 3
+        (shard,) = manifest["phi_storage"]["shards"]
+        assert shard["member"] == "phi_shard_0.npy"
+        assert (shard["start"], shard["stop"]) == (0, fitted.vocab_size)
+        assert shard["mass"] == pytest.approx(fitted.num_topics)
+        assert isinstance(shard["sha256"], str)
+        assert not (path / "phi_word_major.npy").exists()
+        loaded = load_model(path)
+        assert loaded.phi_mmapped
+        assert loaded.shard_map == ((0, fitted.vocab_size),)
+        assert np.array_equal(np.asarray(loaded.model.phi), fitted.phi)
+        loaded.close()
+
+    def test_v2_round_trip_bit_exact(self, fitted_models, tmp_path,
+                                     v2_artifact):
+        fitted = fitted_models["SourceLDA"]
+        path = v2_artifact(fitted, tmp_path / "m")
         loaded = load_model(path)
         assert loaded.schema_version == 2
-        assert loaded.phi_path == path / "phi_word_major.npy"
-        assert not loaded.phi_mmapped
-        assert np.array_equal(loaded.model.phi, fitted.phi)
+        assert loaded.phi_mmapped
+        assert loaded.shard_map == ((0, fitted.vocab_size),)
+        assert loaded.phi_resource.shard_paths == (
+            str(path / "phi_word_major.npy"),)
+        assert np.array_equal(np.asarray(loaded.model.phi), fitted.phi)
         assert np.array_equal(loaded.model.theta, fitted.theta)
         _assert_metadata_equal(loaded.model.metadata, fitted.metadata)
+        loaded.close()
 
     def test_mmap_load_shares_the_file(self, fitted_models, tmp_path):
         fitted = fitted_models["LDA"]
         path = save_model(fitted, tmp_path / "m", mmap_phi=True)
         loaded = load_model(path, mmap_phi=True)
         assert loaded.phi_mmapped
-        assert np.array_equal(loaded.model.phi, fitted.phi)
-        assert self._memmap_backed(loaded.model.phi)
+        assert np.array_equal(np.asarray(loaded.model.phi), fitted.phi)
+        assert self._memmap_backed(loaded.model.phi.T.block(0))
         # Two loads of the same artifact map the same file rather than
         # materializing two copies.
         again = load_model(path, mmap_phi=True)
-        assert self._memmap_backed(again.model.phi)
+        assert self._memmap_backed(again.model.phi.T.block(0))
+        loaded.close()
+        again.close()
 
     def test_mmap_request_on_v1_artifact_warns_and_falls_back(
             self, fitted_models, tmp_path):
@@ -213,24 +237,59 @@ class TestMmapArtifacts:
                           match="cannot be memory-mapped"):
             loaded = load_model(path, mmap_phi=True)
         assert not loaded.phi_mmapped
-        assert loaded.phi_path is None
+        assert loaded.shard_map is None
         assert np.array_equal(loaded.model.phi,
                               fitted_models["LDA"].phi)
 
     def test_overwrite_v2_with_v1_drops_stale_member(self, fitted_models,
-                                                     tmp_path):
+                                                     tmp_path,
+                                                     v2_artifact):
         fitted = fitted_models["LDA"]
-        path = save_model(fitted, tmp_path / "m", mmap_phi=True)
-        save_model(fitted, tmp_path / "m", overwrite=True)
-        assert not (path / "phi_word_major.npy").exists()
-        assert load_model(path).schema_version == 1
+        for mmap_phi, version in ((False, 1), (True, 3)):
+            path = v2_artifact(fitted, tmp_path / f"m{version}")
+            save_model(fitted, path, overwrite=True, mmap_phi=mmap_phi)
+            assert not (path / "phi_word_major.npy").exists()
+            assert load_model(path).schema_version == version
 
-    def test_missing_phi_member_is_loud(self, fitted_models, tmp_path):
-        path = save_model(fitted_models["LDA"], tmp_path / "m",
-                          mmap_phi=True)
+    def test_missing_phi_member_is_loud(self, fitted_models, tmp_path,
+                                        v2_artifact):
+        path = v2_artifact(fitted_models["LDA"], tmp_path / "m")
         (path / "phi_word_major.npy").unlink()
         with pytest.raises(ArtifactError, match="phi member missing"):
             load_model(path)
+
+    def test_truncated_shard_member_names_the_path(self, fitted_models,
+                                                   tmp_path):
+        path = save_model(fitted_models["LDA"], tmp_path / "m",
+                          mmap_phi=True)
+        member = path / "phi_shard_0.npy"
+        member.write_bytes(member.read_bytes()[:-64])
+        loaded = load_model(path)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"phi shard 0 at {member}")):
+            loaded.model.phi.T.block(0)
+
+    @pytest.mark.parametrize("defect,match", [
+        ("negative", "negative entries"), ("row_sum", "sum to 1")])
+    def test_bad_v2_member_raises_at_session_build(self, fitted_models,
+                                                   tmp_path, v2_artifact,
+                                                   defect, match):
+        """A mapped phi is checked row by row and never renormalized:
+        workers re-map the file, so a private fixed-up copy in the
+        parent would serve different bits than the pool."""
+        path = v2_artifact(fitted_models["LDA"], tmp_path / "m")
+        phi = np.array(fitted_models["LDA"].phi)
+        if defect == "negative":
+            # Row sum unchanged: only the sign check can catch it.
+            phi[0, 1] += phi[0, 0] + 0.01
+            phi[0, 0] = -0.01
+        else:
+            phi[0, 0] += 0.01  # row 0 sums to 1.01
+        np.save(path / "phi_word_major.npy", np.ascontiguousarray(phi.T))
+        loaded = load_model(path)
+        with pytest.raises(ValueError, match=match):
+            InferenceSession(loaded, seed=0)
+        loaded.close()
 
     def test_bad_phi_storage_manifest_is_rejected(self, fitted_models,
                                                   tmp_path):
@@ -243,15 +302,17 @@ class TestMmapArtifacts:
             load_model(path)
 
     def test_mmap_session_serves_identically_to_v1(self, fitted_models,
-                                                   tmp_path):
+                                                   tmp_path, v2_artifact):
         fitted = fitted_models["BijectiveSourceLDA"]
         v1 = load_model(save_model(fitted, tmp_path / "v1"))
-        v2 = load_model(save_model(fitted, tmp_path / "v2",
-                                   mmap_phi=True), mmap_phi=True)
         queries = [" ".join(fitted.vocabulary.words[:8])]
         theta_v1 = InferenceSession(v1, seed=4).theta(queries)
-        theta_v2 = InferenceSession(v2, seed=4).theta(queries)
-        assert np.array_equal(theta_v1, theta_v2)
+        for path in (save_model(fitted, tmp_path / "v3", mmap_phi=True),
+                     v2_artifact(fitted, tmp_path / "v2")):
+            mapped = load_model(path, mmap_phi=True)
+            theta = InferenceSession(mapped, seed=4).theta(queries)
+            assert np.array_equal(theta_v1, theta), path.name
+            mapped.close()
 
 
 class TestManifestValidation:
@@ -346,8 +407,8 @@ class TestModelRegistry:
         assert registry.load("a") is first          # cache hit
         registry.load("b")
         registry.load("c")                          # evicts "a"
-        assert registry.cached_keys == (("b", 1, False, "v1:npz"),
-                                        ("c", 1, False, "v1:npz"))
+        assert registry.cached_keys == (("b", 1, "v1:npz"),
+                                        ("c", 1, "v1:npz"))
         assert registry.load("a") is not first      # reloaded from disk
         registry.clear_cache()
         assert registry.cached_keys == ()
@@ -367,19 +428,18 @@ class TestModelRegistry:
 
     def test_publish_mmap_artifact_and_cache_flavors(self, fitted_models,
                                                      tmp_path):
+        """``mmap_phi`` publishes one mappable shard; on load it changes
+        nothing, so both load flavors share one cache entry."""
+        fitted = fitted_models["LDA"]
         registry = ModelRegistry(tmp_path / "registry")
-        record = registry.publish("demo", fitted_models["LDA"],
-                                  mmap_phi=True)
-        assert (record.path / "phi_word_major.npy").is_file()
+        record = registry.publish("demo", fitted, mmap_phi=True)
+        assert (record.path / "phi_shard_0.npy").is_file()
         plain = registry.load("demo")
-        mapped = registry.load("demo", mmap_phi=True)
-        assert plain is registry.load("demo")
-        assert mapped is registry.load("demo", mmap_phi=True)
-        assert plain is not mapped
-        assert mapped.phi_mmapped
+        assert registry.load("demo", mmap_phi=True) is plain
+        assert plain.phi_mmapped
         assert registry.cached_keys == (
-            ("demo", 1, False, "v2:word_major"),
-            ("demo", 1, True, "v2:word_major"))
+            ("demo", 1, f"v3:sharded:0-{fitted.vocab_size}"),)
+        registry.clear_cache()
 
 
 class TestRegistryConcurrentPublish:

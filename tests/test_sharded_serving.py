@@ -371,18 +371,22 @@ class TestMmapLifecycle:
         assert not [w for w in caught
                     if issubclass(w.category, ResourceWarning)]
 
-    def test_v2_mmap_guard_warns_when_leaked(self, fitted, tmp_path):
-        path = save_model(fitted, tmp_path / "m", mmap_phi=True)
-        loaded = load_model(path, mmap_phi=True)
+    def test_leaked_v2_map_warns_on_collection(self, fitted, tmp_path,
+                                               v2_artifact):
+        """A legacy v2 load is owned by the same one-shard view, so it
+        leaks and warns exactly like a v3 load."""
+        loaded = load_model(v2_artifact(fitted, tmp_path / "m"),
+                            mmap_phi=True)
+        loaded.model.phi.T.touch(np.array([0]))
         resource = loaded.phi_resource
-        assert resource is not None and not resource.closed
+        assert resource.mapped_shards == (0,)
         del loaded
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             del resource
             gc.collect()
         assert any(issubclass(w.category, ResourceWarning)
-                   and "unclosed memory-mapped phi" in str(w.message)
+                   and "unclosed ShardedPhi" in str(w.message)
                    for w in caught)
 
     def test_registry_eviction_closes(self, fitted, tmp_path):
@@ -409,8 +413,7 @@ class TestRegistryFingerprint:
         loaded = registry.load("demo")
         assert loaded.shard_map is not None
         assert registry.cached_keys == (
-            ("demo", 1, False,
-             "v3:sharded:0-7,7-14,14-21,21-28,28-35,35-37"),)
+            ("demo", 1, "v3:sharded:0-7,7-14,14-21,21-28,28-35,35-37"),)
         registry.clear_cache()
 
     def test_interleaved_flavors_never_cross_hit(self, fitted, tmp_path):
@@ -427,9 +430,9 @@ class TestRegistryFingerprint:
         assert sharded is not plain
         assert sharded.shard_map == ((0, 19), (19, VOCAB))
         # The stale plain entry was purged (and closed), not kept as a
-        # sibling: one entry per (name, version, flavor).
+        # sibling: one entry per (name, version).
         assert registry.cached_keys == (
-            ("demo", 1, False, "v3:sharded:0-19,19-37"),)
+            ("demo", 1, "v3:sharded:0-19,19-37"),)
         assert registry.load("demo") is sharded
         registry.clear_cache()
 
